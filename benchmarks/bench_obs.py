@@ -152,7 +152,7 @@ def _workloads(quick: bool):
     """The PR 2 kernel hot loops, sized so each run is well above timer
     resolution (tens of milliseconds)."""
     from repro import kernels
-    from repro.retime.minperiod import base_system
+    from repro.retime import minperiod
     from tests.retime.helpers import random_graph
 
     n, m = (150, 500) if quick else (400, 1400)
@@ -169,19 +169,14 @@ def _workloads(quick: bool):
             kernels.delta_sweep(cg, zero)
 
     def check_period():
-        from repro.retime.minperiod import _check_period_kernel
-
-        phi = _min_period_kernel_phi[0]
         for _ in range(checks):
-            _check_period_kernel(graph, phi, base_system(graph))
+            minperiod.check_period(graph, phi, minperiod.base_system(graph))
 
     def min_period():
-        kernels.min_period_kernel(graph, None, 1e-6)
+        minperiod.min_period(graph)
 
     # resolve the achievable period once, outside the timed region
-    from repro.kernels import min_period_kernel
-
-    _min_period_kernel_phi = [min_period_kernel(graph, None, 1e-6).phi]
+    phi = minperiod.min_period(graph).phi
 
     return {
         "delta_sweep": delta_sweep,

@@ -33,10 +33,7 @@ approximation:
 Structural edits, class changes, IO changes, edits touching more than
 ``dirty_threshold`` of the design (the ``_REFRESH_FRACTION``
 discipline), and relocation conflicts on a warm path all **fall back
-to a cold solve** — correct by construction, only slower.  With
-``REPRO_KERNEL_CHECK=1`` every warm result is additionally
-differential-checked against a cold solve of the edited design and a
-mismatch raises :class:`~repro.kernels.KernelMismatchError`.
+to a cold solve** — correct by construction, only slower.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from .. import kernels, obs
+from .. import obs
 from ..graph.build import build_mcgraph
 from ..kernels import (
     compile_graph,
@@ -58,18 +55,20 @@ from ..kernels.delta import _REFRESH_FRACTION
 from ..mcretime import MCRetimeResult, mc_retime
 from ..mcretime.bounds import compute_bounds
 from ..mcretime.classes import Classifier
-from ..mcretime.engine import _real_r, _verify_reset_requirements
+from ..mcretime.engine import (
+    SolvedRetiming,
+    _real_r,
+    _verify_reset_requirements,
+    solve_and_relocate,
+)
 from ..mcretime.relocate import (
     JustificationConflict,
     RelocationDeadlock,
-    RelocationError,
     relocate,
 )
 from ..mcretime.reset import JustificationStats
 from ..mcretime.sharing import apply_sharing_transform
 from ..netlist import Circuit, write_blif
-from ..retime.minarea import min_area
-from ..retime.minperiod import min_period
 from ..timing.delay_models import DelayModel, UNIT_DELAY
 from .diff import CircuitDiff, apply_edit_script, diff_circuits
 from .patch import (
@@ -277,26 +276,19 @@ def _warm_solve(
     work_cg_patched,
     objective: str,
     target_period: float | None,
-    use_kernels: bool | None,
     max_conflict_resolves: int,
     edited: Circuit,
     classifier: Classifier,
     timings: dict[str, float],
-):
+) -> SolvedRetiming:
     """The cold solve/relocate loop, minus build/bounds/sharing.
 
-    Runs over the (possibly delay-patched) work graph with a fresh
-    bounds copy — the exact code path :func:`repro.mcretime.mc_retime`
-    takes after its prefix, so the trajectory and result match a cold
-    solve of the edited design bit for bit.
+    Runs :func:`repro.mcretime.engine.solve_and_relocate` — the loop
+    :func:`repro.mcretime.mc_retime` runs after its prefix — over the
+    (possibly delay-patched) work graph with a fresh bounds copy, so
+    the trajectory and result match a cold solve of the edited design
+    bit for bit.
     """
-    work_bounds = dict(state.transform.bounds)
-    stats = JustificationStats()
-    attempts = 0
-    timings.setdefault("minperiod", 0.0)
-    timings.setdefault("minarea", 0.0)
-    timings.setdefault("relocate", 0.0)
-
     patch_key = None
     if work_graph is not state.transform.graph:
         # seed the patched CSR so the solver's compile is O(dirty)
@@ -306,82 +298,16 @@ def _warm_solve(
         work_graph.intern_key = patch_key
 
     try:
-        while True:
-            with obs.timed("engine.minperiod", attempt=attempts) as sp:
-                if target_period is None:
-                    mp = min_period(
-                        work_graph, work_bounds, use_kernels=use_kernels
-                    )
-                    phi = mp.phi
-                else:
-                    phi = target_period
-            timings["minperiod"] += sp.duration
-
-            with obs.timed("engine.minarea", phi=phi) as sp:
-                if objective == "minarea":
-                    area = min_area(
-                        work_graph, phi, work_bounds, use_kernels=use_kernels
-                    )
-                    r = area.r
-                    area_registers = area.registers
-                elif objective == "minperiod":
-                    if target_period is None:
-                        r = mp.r
-                    else:
-                        from ..retime.minperiod import feasible_retiming
-
-                        r = feasible_retiming(
-                            work_graph,
-                            phi,
-                            work_bounds,
-                            use_kernels=use_kernels,
-                        )
-                        if r is None:
-                            from ..retime.constraints import InfeasibleError
-
-                            raise InfeasibleError(
-                                f"target period {phi} infeasible for "
-                                f"{edited.name!r}"
-                            )
-                    area_registers = None
-                else:
-                    raise ValueError(f"unknown objective {objective!r}")
-            timings["minarea"] += sp.duration
-
-            gate_r = {name: r.get(name, 0) for name in edited.gates}
-
-            try:
-                with obs.timed("engine.relocate", attempt=attempts) as sp:
-                    reloc = relocate(edited, gate_r, classifier)
-                timings["relocate"] += sp.duration
-                return r, gate_r, phi, area_registers, reloc, stats, attempts
-            except JustificationConflict as conflict:
-                timings["relocate"] += sp.duration
-                obs.count("relocate.conflicts")
-                stats.unresolvable += 1
-                attempts += 1
-                if attempts > max_conflict_resolves:
-                    raise RelocationError(
-                        "too many unresolvable justification conflicts"
-                    ) from conflict
-                lo, hi = work_bounds.get(conflict.gate, (0, 0))
-                work_bounds[conflict.gate] = (
-                    lo,
-                    min(hi, conflict.moves_done),
-                )
-            except RelocationDeadlock as deadlock:
-                timings["relocate"] += sp.duration
-                obs.count("relocate.deadlocks")
-                attempts += 1
-                if attempts > max_conflict_resolves:
-                    raise
-                for gate_name, remaining in deadlock.pending.items():
-                    lo, hi = work_bounds.get(gate_name, (0, 0))
-                    done = deadlock.done[gate_name]
-                    if remaining > 0:
-                        work_bounds[gate_name] = (lo, min(hi, done))
-                    else:
-                        work_bounds[gate_name] = (max(lo, done), hi)
+        return solve_and_relocate(
+            edited,
+            classifier,
+            work_graph,
+            dict(state.transform.bounds),
+            target_period,
+            objective,
+            max_conflict_resolves,
+            timings,
+        )
     finally:
         if patch_key is not None:
             unseed_intern(patch_key)
@@ -396,7 +322,6 @@ def eco_retime(
     semantic_classes: bool | None = None,
     max_conflict_resolves: int = 25,
     verify_resets: bool = True,
-    use_kernels: bool | None = None,
     dirty_threshold: float = _REFRESH_FRACTION,
     force_cold: bool = False,
 ) -> EcoResult:
@@ -483,7 +408,6 @@ def eco_retime(
                 objective,
                 max_conflict_resolves,
                 verify_resets,
-                use_kernels,
             )
 
         with obs.timed("eco.patch") as sp:
@@ -533,26 +457,21 @@ def eco_retime(
                     else:
                         work_graph = state.transform.graph
                         work_cg = state.work_cg
-                    (
-                        full_r,
-                        gate_r,
-                        _phi,
-                        area_registers,
-                        reloc,
-                        stats,
-                        attempts,
-                    ) = _warm_solve(
+                    solved = _warm_solve(
                         state,
                         work_graph,
                         work_cg,
                         objective,
                         target_period,
-                        use_kernels,
                         max_conflict_resolves,
                         edited,
                         classifier,
                         timings,
                     )
+                    full_r, gate_r = solved.r, solved.gate_r
+                    area_registers = solved.area_registers
+                    reloc, stats = solved.reloc, solved.stats
+                    attempts = solved.attempts
                     if attempts == 0:
                         # conflict-free solves are pure functions of the
                         # delay configuration — safe to reuse; conflicted
@@ -561,7 +480,7 @@ def eco_retime(
                         state.remember(
                             key,
                             SolveRecord(
-                                phi=_phi,
+                                phi=solved.phi,
                                 r=dict(full_r),
                                 gate_r=dict(gate_r),
                                 area_registers=area_registers,
@@ -582,7 +501,6 @@ def eco_retime(
                     objective,
                     max_conflict_resolves,
                     verify_resets,
-                    use_kernels,
                 )
         timings["eco.resolve"] = sp.duration
 
@@ -612,7 +530,7 @@ def eco_retime(
             area_registers=area_registers,
         )
         state.stats[plan] += 1
-        eco = EcoResult(
+        return EcoResult(
             result=result,
             circuit=edited,
             plan=plan,
@@ -621,18 +539,6 @@ def eco_retime(
             patched_entries=len(updates),
             timings=dict(timings),
         )
-        if kernels.kernel_check_enabled():
-            _check_against_cold(
-                eco,
-                edited,
-                state,
-                target_period,
-                objective,
-                max_conflict_resolves,
-                verify_resets,
-                use_kernels,
-            )
-        return eco
 
 
 def _cold(
@@ -646,7 +552,6 @@ def _cold(
     objective: str,
     max_conflict_resolves: int,
     verify_resets: bool,
-    use_kernels: bool | None,
 ) -> EcoResult:
     """Full cold solve of the edited design (always bit-identical)."""
     obs.count("eco.fallback")
@@ -660,7 +565,6 @@ def _cold(
         semantic_classes=state.semantic_classes,
         max_conflict_resolves=max_conflict_resolves,
         verify_resets=verify_resets,
-        use_kernels=use_kernels,
     )
     merged = dict(result.timings)
     merged.update(timings)
@@ -675,35 +579,3 @@ def _cold(
         timings=merged,
     )
 
-
-def _check_against_cold(
-    eco: EcoResult,
-    edited: Circuit,
-    state: EcoState,
-    target_period: float | None,
-    objective: str,
-    max_conflict_resolves: int,
-    verify_resets: bool,
-    use_kernels: bool | None,
-) -> None:
-    """Differential mode: a warm result must match a cold solve."""
-    cold = mc_retime(
-        edited,
-        delay_model=state.delay_model,
-        target_period=target_period,
-        objective=objective,
-        semantic_classes=state.semantic_classes,
-        max_conflict_resolves=max_conflict_resolves,
-        verify_resets=verify_resets,
-        use_kernels=use_kernels,
-    )
-    kernels.expect_equal(
-        "eco.netlist",
-        write_blif(eco.result.circuit),
-        write_blif(cold.circuit),
-    )
-    kernels.expect_equal(
-        "eco.metrics",
-        deterministic_metrics(eco.result),
-        deterministic_metrics(cold),
-    )

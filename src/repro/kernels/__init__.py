@@ -1,34 +1,17 @@
 """Compiled integer-indexed kernels for the retiming hot loops.
 
-The dict-based implementations in :mod:`repro.retime` and
-:mod:`repro.timing` are the readable reference engines; this package
-holds their compiled counterparts: a graph is interned once into flat
-index arrays (:mod:`.compiled_graph`) and the four hot sweeps — CP/Δ
-(:mod:`.delta`), the difference-constraint solver (:mod:`.diffsys`),
-min-cost flow (:mod:`.mcf`) and STA (:mod:`.sta`) — run over integers
-with incremental re-evaluation between lazy-constraint rounds.
-:mod:`.sim` is the bit-parallel sequential simulator the verification
-subsystem runs on: 64 stimulus lanes per Python-int word over an
-interned netlist, with full generic-register (EN/SR/AR) and ternary
-semantics.
-
-Every kernel replicates its oracle bit-for-bit (iteration orders, tie
-breaking, float addition order), so flipping the flag never changes a
-result — only how fast it arrives.
-
-Control surface
----------------
-* ``REPRO_USE_KERNELS=0`` env var (or :func:`set_kernels_enabled`)
-  falls back to the dict engines everywhere.
-* ``REPRO_KERNEL_CHECK=1`` (or :func:`set_kernel_check`) enables the
-  differential mode: every kernel call *also* runs its dict oracle and
-  asserts identical results.  Slow; meant for tests and debugging.
+A graph is interned once into flat index arrays (:mod:`.compiled_graph`)
+and the three hot sweeps — CP/Δ (:mod:`.delta`), the
+difference-constraint solver (:mod:`.diffsys`) and min-cost flow
+(:mod:`.mcf`) — run over integers with incremental re-evaluation
+between lazy-constraint rounds.  The min-period and min-area loops in
+:mod:`repro.retime` are built on them.  :mod:`.sim` is the bit-parallel
+sequential simulator the verification subsystem runs on: 64 stimulus
+lanes per Python-int word over an interned netlist, with full
+generic-register (EN/SR/AR) and ternary semantics.
 """
 
 from __future__ import annotations
-
-import os
-from contextlib import contextmanager
 
 from .compiled_graph import (
     HAVE_NUMPY,
@@ -43,8 +26,6 @@ from .compiled_graph import (
 from .delta import KernelSweep, delta_sweep, refresh
 from .diffsys import CompiledSystem
 from .mcf import IntMinCostFlow
-from .minarea import min_area_kernel
-from .minperiod import check_period_kernel, min_period_kernel
 from .sim import (
     BitSimulator,
     CompiledCircuit,
@@ -54,79 +35,16 @@ from .sim import (
     pack_vectors,
     unpack_lane,
 )
-from .sta import CompiledSTA, analyze_kernel
-
-_enabled = os.environ.get("REPRO_USE_KERNELS", "1") != "0"
-_check = os.environ.get("REPRO_KERNEL_CHECK", "0") == "1"
-
-
-class KernelMismatchError(AssertionError):
-    """Differential mode found a kernel/oracle disagreement (a bug)."""
-
-
-def kernels_enabled() -> bool:
-    """Whether the compiled kernels are the active engine."""
-    return _enabled
-
-
-def set_kernels_enabled(flag: bool) -> bool:
-    """Flip the global kernel switch; returns the previous value."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(flag)
-    return previous
-
-
-def kernel_check_enabled() -> bool:
-    """Whether differential (kernel vs oracle) checking is on."""
-    return _check
-
-
-def set_kernel_check(flag: bool) -> bool:
-    """Flip differential checking; returns the previous value."""
-    global _check
-    previous = _check
-    _check = bool(flag)
-    return previous
-
-
-def resolve(use_kernels: bool | None) -> bool:
-    """Resolve a per-call ``use_kernels`` override against the global."""
-    return _enabled if use_kernels is None else bool(use_kernels)
-
-
-@contextmanager
-def use_kernels(flag: bool):
-    """Context manager scoping the global kernel switch."""
-    previous = set_kernels_enabled(flag)
-    try:
-        yield
-    finally:
-        set_kernels_enabled(previous)
-
-
-def expect_equal(what: str, kernel_value, oracle_value) -> None:
-    """Differential-mode assertion with a readable diagnostic."""
-    if kernel_value != oracle_value:
-        raise KernelMismatchError(
-            f"kernel/oracle mismatch in {what}: "
-            f"kernel={kernel_value!r} oracle={oracle_value!r}"
-        )
-
 
 __all__ = [
     "HAVE_NUMPY",
     "BitSimulator",
     "CompiledCircuit",
     "CompiledGraph",
-    "CompiledSTA",
     "CompiledSystem",
     "IntMinCostFlow",
-    "KernelMismatchError",
     "KernelSweep",
-    "analyze_kernel",
     "broadcast",
-    "check_period_kernel",
     "clear_intern_seeds",
     "compile_circuit",
     "compile_graph",
@@ -138,14 +56,5 @@ __all__ = [
     "pack_lanes",
     "pack_vectors",
     "unpack_lane",
-    "expect_equal",
-    "kernel_check_enabled",
-    "kernels_enabled",
-    "min_area_kernel",
-    "min_period_kernel",
     "refresh",
-    "resolve",
-    "set_kernel_check",
-    "set_kernels_enabled",
-    "use_kernels",
 ]

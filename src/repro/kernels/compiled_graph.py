@@ -8,11 +8,11 @@ flat integer arrays:
 
 * ``names`` / ``index`` — the vertex interning table (ids follow the
   graph's vertex insertion order, so kernel iteration order matches the
-  dict implementations exactly — a requirement for the differential
-  test mode, which demands bit-identical results);
+  dict sweep :func:`repro.retime.feas.compute_delta` exactly, and
+  results never depend on string hashing);
 * ``eu/ev/ew`` — per-edge source / target / weight arrays in edge
   *insertion* order (the order ``graph.edges.values()`` yields, which
-  the dict sweeps iterate);
+  the dict sweep iterates);
 * CSR adjacency (``out_start``/``out_edges`` and ``in_start`` /
   ``in_edges``) for incremental cone traversals.
 

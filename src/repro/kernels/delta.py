@@ -4,8 +4,8 @@
 :func:`repro.retime.feas.compute_delta`: identical zero-edge selection
 order, identical Kahn queue discipline, identical argmax tie-breaking,
 identical float arithmetic — so its Δ/pred output is bit-for-bit the
-dict implementation's, and the lazy constraint generators built on it
-produce the *same* constraint sets in the *same* order.
+dict implementation's, and the constraints the lazy loops generate
+from it do not depend on which of the two swept.
 
 ``refresh`` is the incremental mode: given the previous sweep and a new
 retiming that differs on a subset of vertices, it recomputes Δ only in

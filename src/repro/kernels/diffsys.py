@@ -210,7 +210,7 @@ class CompiledSystem:
         return result
 
     def _solve_full(self) -> list[int] | None:
-        """Cold SPFA from the all-zero start (the dict engine's loop)."""
+        """Cold SPFA from the all-zero start, as ``DifferenceSystem.solve``."""
         n = self.n
         arc_u, arc_b = self.arc_u, self.arc_b
         arcs_from = self.arcs_from

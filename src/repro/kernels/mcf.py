@@ -1,14 +1,12 @@
 """Min-cost flow on integer node ids (the min-area LP dual kernel).
 
-Same successive-shortest-path algorithm as
-:class:`repro.retime.mincostflow.MinCostFlow` — heap Dijkstra over
-Johnson-potential reduced costs, multi-source from all excess nodes —
-but nodes are dense integer ids, there are no name dictionaries, no
-public per-arc view objects, and arc storage is preallocated from the
-compiled constraint system.  Arc slots are created in the same order as
-the dict engine adds them, and Dijkstra's heap keys are the same
-``(distance, node-id)`` pairs, so tie-breaking — and therefore the
-selected optimal dual solution — is bit-identical to the oracle.
+Successive shortest paths: heap Dijkstra over Johnson-potential reduced
+costs, multi-source from all excess nodes.  Nodes are dense integer
+ids and arcs are stored as forward/backward slot pairs, created in the
+order the caller adds them.  Dijkstra's heap keys are ``(distance,
+node-id)`` pairs, so for a fixed node and arc order the tie-breaking —
+and therefore which optimal dual solution is returned — is
+deterministic.
 """
 
 from __future__ import annotations
@@ -47,6 +45,18 @@ class IntMinCostFlow:
         self._cost.extend((cost, -cost))
         self._adj[u].append(slot)
         self._adj[v].append(slot + 1)
+
+    def arcs(self) -> list[tuple[int, int, int, int]]:
+        """Every arc as ``(u, v, cost, flow)``, in creation order.
+
+        The flow on an arc is what its backward slot has gained, which
+        is zero until :meth:`solve` routes through it.
+        """
+        to, cap, cost = self._to, self._cap, self._cost
+        return [
+            (to[slot + 1], to[slot], cost[slot], int(cap[slot + 1]))
+            for slot in range(0, len(to), 2)
+        ]
 
     def solve(self, initial_potentials: list[float] | None = None) -> None:
         """Route all supplies; potentials are left in ``self.potential``.
@@ -103,8 +113,6 @@ class IntMinCostFlow:
                 for slot, t, c in arcs[vi]:
                     if cap[slot] <= 0:
                         continue
-                    # float addition order matches the dict oracle:
-                    # ((d + cost) + potential[u]) - potential[v]
                     nd = d + c + pvi - potential[t]
                     if nd < dist[t] - 1e-12:
                         dist[t] = nd

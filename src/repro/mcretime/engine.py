@@ -24,15 +24,21 @@ from ..graph.build import build_mcgraph
 from ..logic.simulate import eval_nets
 from ..logic.ternary import TX
 from ..netlist import Circuit
+from ..retime.constraints import InfeasibleConstraints
 from ..retime.feas import clock_period
 from ..retime.minarea import min_area
-from ..retime.minperiod import min_period
+from ..retime.minperiod import (
+    feasible_retiming,
+    infeasibility_certificate,
+    min_period,
+)
 from .bounds import compute_bounds
 from .classes import Classifier
 from .relocate import (
     JustificationConflict,
     RelocationDeadlock,
     RelocationError,
+    RelocationResult,
     relocate,
 )
 from .reset import JustificationStats
@@ -85,6 +91,122 @@ class MCRetimeResult:
         }
 
 
+@dataclass
+class SolvedRetiming:
+    """Steps 4–6 of one run: the solved and relocated retiming."""
+
+    #: solver retiming over the work-graph vertices
+    r: dict[str, int]
+    #: its restriction to the circuit's gates
+    gate_r: dict[str, int]
+    phi: float
+    #: achieved min-area register objective (None for ``minperiod``)
+    area_registers: int | None
+    reloc: RelocationResult
+    stats: JustificationStats
+    #: how many times a conflict forced a retiming re-solve
+    attempts: int
+
+
+def solve_and_relocate(
+    circuit: Circuit,
+    classifier: Classifier,
+    work_graph,
+    work_bounds: dict[str, tuple[int, int]],
+    target_period: float | None,
+    objective: str,
+    max_conflict_resolves: int,
+    timings: dict[str, float],
+) -> SolvedRetiming:
+    """Steps 4–6 over a sharing-transformed *work_graph*.
+
+    Min-period, then min-area (or the min-period retiming itself), then
+    relocation; on an unresolvable justification conflict or a
+    relocation deadlock the offending bounds in *work_bounds* are
+    clamped in place and the loop re-solves.  Phase times accumulate
+    into *timings*.  Both the cold :func:`mc_retime` and the ECO warm
+    solve run this loop; it calls ``min_period``, ``min_area`` and
+    ``relocate`` through this module's globals.
+    """
+    stats = JustificationStats()
+    attempts = 0
+    timings.setdefault("minperiod", 0.0)
+    timings.setdefault("minarea", 0.0)
+    timings.setdefault("relocate", 0.0)
+
+    while True:
+        with obs.timed("engine.minperiod", attempt=attempts) as sp:
+            if target_period is None:
+                mp = min_period(work_graph, work_bounds)
+                phi = mp.phi
+            else:
+                phi = target_period
+        timings["minperiod"] += sp.duration
+
+        with obs.timed("engine.minarea", phi=phi) as sp:
+            if objective == "minarea":
+                area = min_area(work_graph, phi, work_bounds)
+                r = area.r
+                area_registers = area.registers
+            elif objective == "minperiod":
+                if target_period is None:
+                    r = mp.r
+                else:
+                    r = feasible_retiming(work_graph, phi, work_bounds)
+                    if r is None:
+                        err = infeasibility_certificate(
+                            work_graph, phi, work_bounds
+                        )
+                        raise InfeasibleConstraints(
+                            f"target period {phi} infeasible for "
+                            f"{circuit.name!r}",
+                            err.cycle if err is not None else (),
+                            period=phi,
+                        )
+                area_registers = None
+            else:
+                raise ValueError(f"unknown objective {objective!r}")
+        timings["minarea"] += sp.duration
+
+        gate_r = {name: r.get(name, 0) for name in circuit.gates}
+
+        try:
+            with obs.timed("engine.relocate", attempt=attempts) as sp:
+                reloc = relocate(circuit, gate_r, classifier)
+            timings["relocate"] += sp.duration
+            return SolvedRetiming(
+                r, gate_r, phi, area_registers, reloc, stats, attempts
+            )
+        except JustificationConflict as conflict:
+            timings["relocate"] += sp.duration
+            obs.count("relocate.conflicts")
+            stats.unresolvable += 1
+            attempts += 1
+            if attempts > max_conflict_resolves:
+                raise RelocationError(
+                    "too many unresolvable justification conflicts"
+                ) from conflict
+            lo, hi = work_bounds.get(conflict.gate, (0, 0))
+            work_bounds[conflict.gate] = (lo, min(hi, conflict.moves_done))
+        except RelocationDeadlock as deadlock:
+            # the unit-move scheduler wedged (mixed-direction lags on a
+            # multi-fanout net); clamp every stuck gate to the moves it
+            # actually completed and re-solve — r=0 stays feasible, so
+            # the tightened LP always has a solution
+            timings["relocate"] += sp.duration
+            obs.count("relocate.deadlocks")
+            attempts += 1
+            if attempts > max_conflict_resolves:
+                raise
+            for gate_name, remaining in deadlock.pending.items():
+                lo, hi = work_bounds.get(gate_name, (0, 0))
+                done = deadlock.done[gate_name]
+                if remaining > 0:
+                    work_bounds[gate_name] = (lo, min(hi, done))
+                else:
+                    work_bounds[gate_name] = (max(lo, done), hi)
+
+
 def intern_work_graph(
     circuit: Circuit,
     delay_model: DelayModel = UNIT_DELAY,
@@ -117,7 +239,6 @@ def mc_retime(
     semantic_classes: bool = True,
     max_conflict_resolves: int = 25,
     verify_resets: bool = True,
-    use_kernels: bool | None = None,
     intern_key: str | None = None,
     explain: bool = False,
 ) -> MCRetimeResult:
@@ -135,9 +256,6 @@ def mc_retime(
         max_conflict_resolves: bound on conflict-driven re-solves.
         verify_resets: double-check every recorded reset requirement by
             forward implication after relocation.
-        use_kernels: route the retiming solves through the compiled
-            kernels (:mod:`repro.kernels`); None defers to the global
-            switch.  Results are bit-identical either way.
         intern_key: tag the sharing-transformed work graph with this
             key so :func:`repro.kernels.compile_graph` can return a
             pre-interned snapshot (see :func:`intern_work_graph` and
@@ -174,90 +292,17 @@ def mc_retime(
     timings["sharing"] = sp.duration
 
     period_before = clock_period(graph)
-    stats = JustificationStats()
-    attempts = 0
-    timings.setdefault("minperiod", 0.0)
-    timings.setdefault("minarea", 0.0)
-    timings.setdefault("relocate", 0.0)
-
-    while True:
-        with obs.timed("engine.minperiod", attempt=attempts) as sp:
-            if target_period is None:
-                mp = min_period(work_graph, work_bounds, use_kernels=use_kernels)
-                phi = mp.phi
-            else:
-                phi = target_period
-        timings["minperiod"] += sp.duration
-
-        with obs.timed("engine.minarea", phi=phi) as sp:
-            if objective == "minarea":
-                area = min_area(
-                    work_graph, phi, work_bounds, use_kernels=use_kernels
-                )
-                r = area.r
-                area_registers = area.registers
-            elif objective == "minperiod":
-                if target_period is None:
-                    r = mp.r
-                else:
-                    from ..retime.minperiod import feasible_retiming
-
-                    r = feasible_retiming(
-                        work_graph, phi, work_bounds, use_kernels=use_kernels
-                    )
-                    if r is None:
-                        from ..retime.constraints import InfeasibleConstraints
-                        from ..retime.minperiod import infeasibility_certificate
-
-                        err = infeasibility_certificate(
-                            work_graph, phi, work_bounds
-                        )
-                        raise InfeasibleConstraints(
-                            f"target period {phi} infeasible for "
-                            f"{circuit.name!r}",
-                            err.cycle if err is not None else (),
-                            period=phi,
-                        )
-                area_registers = None
-            else:
-                raise ValueError(f"unknown objective {objective!r}")
-        timings["minarea"] += sp.duration
-
-        gate_r = {name: r.get(name, 0) for name in circuit.gates}
-
-        try:
-            with obs.timed("engine.relocate", attempt=attempts) as sp:
-                reloc = relocate(circuit, gate_r, classifier)
-            timings["relocate"] += sp.duration
-            break
-        except JustificationConflict as conflict:
-            timings["relocate"] += sp.duration
-            obs.count("relocate.conflicts")
-            stats.unresolvable += 1
-            attempts += 1
-            if attempts > max_conflict_resolves:
-                raise RelocationError(
-                    "too many unresolvable justification conflicts"
-                ) from conflict
-            lo, hi = work_bounds.get(conflict.gate, (0, 0))
-            work_bounds[conflict.gate] = (lo, min(hi, conflict.moves_done))
-        except RelocationDeadlock as deadlock:
-            # the unit-move scheduler wedged (mixed-direction lags on a
-            # multi-fanout net); clamp every stuck gate to the moves it
-            # actually completed and re-solve — r=0 stays feasible, so
-            # the tightened LP always has a solution
-            timings["relocate"] += sp.duration
-            obs.count("relocate.deadlocks")
-            attempts += 1
-            if attempts > max_conflict_resolves:
-                raise
-            for gate_name, remaining in deadlock.pending.items():
-                lo, hi = work_bounds.get(gate_name, (0, 0))
-                done = deadlock.done[gate_name]
-                if remaining > 0:
-                    work_bounds[gate_name] = (lo, min(hi, done))
-                else:
-                    work_bounds[gate_name] = (max(lo, done), hi)
+    solved = solve_and_relocate(
+        circuit,
+        classifier,
+        work_graph,
+        work_bounds,
+        target_period,
+        objective,
+        max_conflict_resolves,
+        timings,
+    )
+    r, phi, reloc = solved.r, solved.phi, solved.reloc
 
     if verify_resets:
         _verify_reset_requirements(reloc.circuit, reloc.requirements)
@@ -282,7 +327,7 @@ def mc_retime(
 
     result = MCRetimeResult(
         circuit=reloc.circuit,
-        r=gate_r,
+        r=solved.gate_r,
         n_classes=classifier.n_classes,
         steps_moved=reloc.steps_moved,
         steps_possible=bounds.steps_possible,
@@ -290,10 +335,10 @@ def mc_retime(
         period_after=clock_period(graph, _real_r(graph, r)),
         ff_before=len(circuit.registers),
         ff_after=len(reloc.circuit.registers),
-        stats=stats.merged(reloc.stats),
+        stats=solved.stats.merged(reloc.stats),
         timings=timings,
-        resolve_attempts=attempts,
-        area_registers=area_registers,
+        resolve_attempts=solved.attempts,
+        area_registers=solved.area_registers,
         explanation=explanation,
     )
     return result

@@ -16,7 +16,7 @@ Instrumented code uses the module-level helpers::
     with obs.span("minperiod.feas", probe=phi):
         ...
     obs.count("bf.rounds", rounds)
-    obs.gauge("sta.dirty_gates", evaluated)
+    obs.gauge("minperiod.phi", best_phi)
 
 When no tracer is installed (the default) ``span`` returns a shared
 no-op singleton and ``count``/``gauge`` return immediately — the

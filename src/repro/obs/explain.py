@@ -33,7 +33,7 @@ requested, so the solving hot paths pay nothing when explain is off
 (gated by ``benchmarks/bench_obs.py --check-explain``).  Because every
 certificate is re-validated independently of the solver that produced
 it (:func:`validate_explanation`), the layer doubles as a correctness
-oracle over the compiled kernels.
+oracle over the retiming solvers.
 
 See docs/EXPLAIN.md for worked examples.
 """
@@ -111,7 +111,7 @@ def critical_path_witness(graph, r: dict[str, int]) -> dict[str, Any]:
 
 
 def _lazy_period_probe(graph, bounds, phi):
-    """Dict-engine lazy feasibility at *phi*, capturing per-constraint
+    """Dict-based lazy feasibility at *phi*, capturing per-constraint
     gate paths.  Returns ``(system, feasible, paths)`` where *paths*
     maps each generated period constraint's (u, v) pair to the
     register-free gate path that produced it."""
@@ -410,42 +410,40 @@ def area_attribution(
 ) -> dict[str, Any]:
     """Min-area attribution from the min-cost-flow dual.
 
-    Re-runs the (deterministic) dict-engine lazy LP at *phi* capturing
-    the final flow network, then reads off: per-vertex cost coefficients
-    and their objective contributions, the flow-carrying (binding)
-    constraints with their tags, mirror/separation charges, and the
-    strong-duality identity ``registers == constant + Σc·r ==
-    constant − Σb·flow`` which the validator re-checks arithmetically.
-    ``reproduced`` records that the re-run's solution matches the
-    engine's (bit-identity between the capture and the served result).
+    Re-runs the (deterministic) lazy LP loop at *phi* and reads its
+    final flow network: per-vertex cost coefficients and their
+    objective contributions, the flow-carrying (binding) constraints
+    with their tags, mirror/separation charges, and the strong-duality
+    identity ``registers == constant + Σc·r == constant − Σb·flow``
+    which the validator re-checks arithmetically.  ``reproduced``
+    records that the re-run's solution matches the engine's
+    (bit-identity between the re-run and the served result).
     """
-    from ..retime.minarea import _lazy_lp_rounds
-    from ..retime.minperiod import base_system
+    from ..retime.minarea import lazy_min_area
+    from ..retime.minperiod import mirror_constraints
     from ..retime.sharing_model import build_sharing_model, shared_register_count
 
     model = build_sharing_model(work_graph)
-    system = base_system(model.graph, bounds)
-    capture: dict[str, Any] = {}
-    best, rounds = _lazy_lp_rounds(
-        work_graph, model.graph, system, model, phi, capture=capture
-    )
-    flow = capture["flow"]
-    full_r = capture["full_r"]
-    real_r = {v: best.get(v, 0) for v in work_graph.vertices}
+    loop = lazy_min_area(work_graph, phi, bounds, model)
+    names = loop.system.names
+    full_r = dict(zip(names, loop.r))
+    real_r = {v: full_r[v] for v in work_graph.vertices}
     registers = shared_register_count(work_graph, real_r)
-    tags = {(c.u, c.v): c.tag for c in system}
+    mirror_constraints(loop.base, loop.system)
+    tags = {(c.u, c.v): c.tag for c in loop.base}
+    arcs = loop.flow.arcs()
     binding = [
         {
-            "u": a.u,
-            "v": a.v,
-            "bound": a.cost,
-            "flow": a.flow,
-            "tag": tags.get((a.u, a.v), ""),
+            "u": names[u],
+            "v": names[v],
+            "bound": cost,
+            "flow": flow,
+            "tag": tags.get((names[u], names[v]), ""),
         }
-        for a in flow.arcs()
-        if a.flow
+        for u, v, cost, flow in arcs
+        if flow
     ]
-    dual_sum = sum(a.flow * a.cost for a in flow.arcs())
+    dual_sum = sum(flow * cost for _, _, cost, flow in arcs)
     primal_sum = sum(c * full_r.get(v, 0) for v, c in model.cost.items())
     contributions = {
         v: {"cost": c, "r": full_r.get(v, 0), "term": c * full_r.get(v, 0)}
@@ -472,7 +470,7 @@ def area_attribution(
         "binding": binding,
         "contributions": contributions,
         "charges": charges,
-        "rounds": rounds,
+        "rounds": loop.rounds,
         "reproduced": expected_r is None or real_r == expected_r,
     }
 

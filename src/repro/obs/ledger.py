@@ -15,7 +15,7 @@ instead of one-shot ``BENCH_*.json`` snapshots.  A record carries:
   :meth:`Tracer.span_counts`);
 * ``counters`` — the algorithm counters (FEAS passes, BF rounds, …);
 * ``metrics`` — result numbers (period, register count, LUT area, …);
-* ``env`` — python version, platform, git sha, kernels on/off.
+* ``env`` — python version, platform, git sha.
 
 The file format is append-only JSONL: crash-safe (valid up to the last
 complete line) and diff-able.  :class:`RunLedger` is the loader with
@@ -88,16 +88,13 @@ def _git_sha() -> str:
     return _git_sha_cache
 
 
-def environment() -> dict[str, str | bool]:
+def environment() -> dict[str, str]:
     """The environment block every record carries."""
-    from .. import kernels
-
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": sys.platform,
         "git_sha": _git_sha(),
-        "kernels": kernels.kernels_enabled(),
     }
 
 

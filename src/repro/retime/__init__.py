@@ -9,7 +9,6 @@ from .dense import (
 )
 from .feas import DeltaResult, clock_period, compute_delta, feas
 from .minarea import AreaResult, min_area
-from .mincostflow import Arc, FlowInfeasibleError, MinCostFlow
 from .minperiod import (
     FeasibilityResult,
     MinPeriodResult,
@@ -26,15 +25,12 @@ from .sharing_model import (
 from .wd import candidate_periods, wd_from_source, wd_matrices
 
 __all__ = [
-    "Arc",
     "AreaResult",
     "Constraint",
     "DeltaResult",
     "DifferenceSystem",
     "FeasibilityResult",
-    "FlowInfeasibleError",
     "InfeasibleError",
-    "MinCostFlow",
     "MinPeriodResult",
     "SharingModel",
     "base_system",

@@ -20,8 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.retiming_graph import RetimingGraph
+from ..kernels import CompiledSystem, compile_graph
 from .constraints import DifferenceSystem, InfeasibleError
-from .minarea import AreaResult, _solve_lp
+from .minarea import AreaResult, lp_supply, solve_lp
 from .minperiod import EPS, MinPeriodResult, base_system, _solve_normalized
 from .feas import compute_delta
 from .sharing_model import build_sharing_model, shared_register_count
@@ -145,9 +146,11 @@ def min_area_dense(
     """Min-area with the full dense period-constraint set."""
     model = build_sharing_model(graph)
     system = dense_period_system(model.graph, phi, bounds)
-    r = _solve_lp(system, model)
-    if r is None:
+    csys = CompiledSystem.from_system(system, compile_graph(model.graph))
+    solved = solve_lp(csys, lp_supply(csys, model))
+    if solved is None:
         raise InfeasibleError(f"period {phi} infeasible for {graph.name!r}")
+    r = dict(zip(csys.names, solved[0]))
     if compute_delta(model.graph, r).period > phi + EPS:
         raise InfeasibleError(
             f"dense constraint set missed a violating path at φ={phi}"

@@ -14,6 +14,19 @@ Period constraints are produced lazily exactly as in min-period: solve,
 sweep Δ on the retimed graph, add one constraint per violating path,
 repeat until clean.
 
+The loop runs on the compiled structures of :mod:`repro.kernels`: the
+difference system solves incrementally between lazy rounds, the LP dual
+runs on the integer-node flow kernel, and Δ sweeps run on the compiled
+graph.  The LP usually has several optimal duals, and which one the
+flow returns is decided by Dijkstra's tie-breaking, so by node and arc
+order:
+
+* node ids follow the system's variable declaration order, and arcs
+  follow its constraint order;
+* period constraints therefore enter the system in the topological
+  order of each round's full Δ sweep.  Min-area uses full (not
+  incremental) sweeps for that order; the lazy rounds here are few.
+
 The returned objective is the Leiserson–Saxe *shared* register count of
 the retimed graph (mirror-vertex model), which for multi-class graphs
 that went through the separation-vertex transform is the paper's
@@ -25,11 +38,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import obs
-from ..graph.retiming_graph import HOST, RetimingGraph
-from .constraints import DifferenceSystem, InfeasibleConstraints, InfeasibleError
+from ..graph.retiming_graph import RetimingGraph
+from ..kernels import CompiledSystem, IntMinCostFlow, compile_graph, delta_sweep
+from .constraints import DifferenceSystem, InfeasibleError
 from .feas import compute_delta
-from .mincostflow import MinCostFlow
-from .minperiod import EPS, MAX_LAZY_ROUNDS, base_system
+from .minperiod import (
+    EPS,
+    MAX_LAZY_ROUNDS,
+    base_system,
+    mirror_constraints,
+    period_infeasible,
+)
 from .sharing_model import SharingModel, build_sharing_model, shared_register_count
 
 
@@ -51,43 +70,104 @@ class AreaResult:
     constraints: int = 0
 
 
-def _solve_lp(
-    system: DifferenceSystem,
-    model: SharingModel,
-    capture: dict | None = None,
-) -> dict[str, int] | None:
-    """One LP solve: min Σ c·r subject to *system*; None if infeasible.
+@dataclass
+class AreaLoop:
+    """Final state of the lazy min-area loop (:func:`lazy_min_area`)."""
 
-    When *capture* is given, the solved flow network and the full
-    (mirror-inclusive) solution are left in it under ``"flow"`` /
-    ``"full_r"`` — the raw material min-area dual attribution
-    (:mod:`repro.obs.explain`) reads its certificates from.
-    """
-    r0 = system.solve()
-    if r0 is None:
-        return None
-    flow = MinCostFlow()
-    variables = system.variables()  # insertion-ordered: keeps node ids,
-    # and therefore Dijkstra tie-breaking, reproducible across runs
-    for name in variables:
-        flow.add_node(name, -model.cost.get(name, 0))
-    # every costed vertex must be constrained, or the LP is unbounded
-    variable_set = set(variables)
-    for name in model.cost:
-        if name not in variable_set:
+    #: The base system the loop compiled (circuit, pin and class tags).
+    base: DifferenceSystem
+    #: The final system: *base* plus every generated period constraint.
+    system: CompiledSystem
+    #: The last round's solved LP dual.
+    flow: IntMinCostFlow
+    #: Optimal host-normalised retiming, indexed like ``system.names``.
+    r: list[int]
+    rounds: int
+
+
+def lp_supply(csys: CompiledSystem, model: SharingModel) -> list[int]:
+    """Flow supplies −c(v), indexed like *csys*'s variables."""
+    supply = [0] * csys.n
+    for name, c in model.cost.items():
+        i = csys.index.get(name)
+        if i is None:  # the LP would be unbounded
             raise InfeasibleError(f"cost on unconstrained vertex {name!r}")
-    for constraint in system:
-        flow.add_arc(constraint.u, constraint.v, constraint.bound)
+        supply[i] = -c
+    return supply
+
+
+def solve_lp(
+    csys: CompiledSystem, supply: list[int]
+) -> tuple[list[int], IntMinCostFlow] | None:
+    """One LP solve: min Σ c·r subject to *csys*; None if infeasible.
+
+    Returns the host-normalised solution and the solved flow network.
+    """
+    dist = csys.solve()
+    if dist is None:
+        return None
+    flow = IntMinCostFlow(csys.n)
+    flow.supply = list(supply)
+    add_arc = flow.add_arc
+    arc_u, arc_v, arc_b = csys.arc_u, csys.arc_v, csys.arc_b
+    for slot in range(len(arc_b)):
+        add_arc(arc_u[slot], arc_v[slot], arc_b[slot])
     # π = −r0 gives non-negative reduced costs for every constraint arc
-    flow.solve(initial_potentials={v: -val for v, val in r0.items()})
-    potentials = flow.potentials()
-    r = {v: -int(round(p)) for v, p in potentials.items()}
-    shift = r.get(HOST, 0)
-    solution = {v: val - shift for v, val in r.items()}
-    if capture is not None:
-        capture["flow"] = flow
-        capture["full_r"] = solution
-    return solution
+    flow.solve(initial_potentials=[-d for d in dist])
+    r = [-int(round(p)) for p in flow.potential]
+    shift = r[csys.host] if csys.host >= 0 else 0
+    if shift:
+        r = [val - shift for val in r]
+    return r, flow
+
+
+def lazy_min_area(
+    graph: RetimingGraph,
+    phi: float,
+    bounds: dict[str, tuple[int, int]] | None,
+    model: SharingModel,
+) -> AreaLoop:
+    """The lazy LP loop over *model*'s extended graph.
+
+    Raises :class:`~repro.retime.constraints.InfeasibleConstraints`
+    with a negative-cycle certificate when *phi* is infeasible.
+    """
+    extended = model.graph
+    cg = compile_graph(extended)
+    base = base_system(extended, bounds)
+    csys = CompiledSystem.from_system(base, cg)
+    supply = lp_supply(csys, model)
+    n = cg.n
+    is_mirror = cg.is_mirror
+    for rounds in range(1, MAX_LAZY_ROUNDS + 1):
+        solved = solve_lp(csys, supply)
+        if solved is None:
+            mirror_constraints(base, csys)
+            raise period_infeasible(graph, phi, base)
+        r, flow = solved
+        violations = csys.violated(r)
+        if violations:  # numerical/duality bug guard: never expected
+            names = csys.names
+            shown = [(names[u], names[v], b) for u, v, b in violations[:3]]
+            raise RuntimeError(f"LP solution violates {shown}")
+        sweep = delta_sweep(cg, r[:n])
+        delta = sweep.delta
+        added = False
+        limit = phi + EPS
+        # constraints enter in topo order (see the module docstring);
+        # topo_order() rather than .order — the latter is None on
+        # refreshed sweeps, and this loop must stay safe if the sweep
+        # above ever becomes incremental
+        for v in sweep.topo_order(cg):
+            if delta[v] <= limit or is_mirror[v]:
+                continue
+            u = sweep.trace_start(v)
+            bound = r[u] - r[v] - 1
+            if csys.add(u, v, bound):
+                added = True
+        if not added:
+            return AreaLoop(base, csys, flow, r, rounds)
+    raise RuntimeError("lazy period-constraint generation did not converge")
 
 
 def min_area(
@@ -95,101 +175,28 @@ def min_area(
     phi: float,
     bounds: dict[str, tuple[int, int]] | None = None,
     model: SharingModel | None = None,
-    use_kernels: bool | None = None,
 ) -> AreaResult:
     """Minimum-area retiming achieving clock period ≤ *phi*.
 
+    *model* is a prepared sharing model of *graph* (built when None).
     Raises :class:`InfeasibleError` if *phi* is not feasible for the
     graph under the given bounds.
     """
-    from .. import kernels
-
     if model is None:
         model = build_sharing_model(graph)
-    if not kernels.resolve(use_kernels):
-        return _min_area_dict(graph, phi, bounds, model)
-    result = kernels.min_area_kernel(graph, phi, bounds, model)
-    if kernels.kernel_check_enabled():
-        oracle = _min_area_dict(graph, phi, bounds, model)
-        kernels.expect_equal("min_area.r", result.r, oracle.r)
-        kernels.expect_equal("min_area.registers", result.registers, oracle.registers)
-        kernels.expect_equal("min_area.period", result.period, oracle.period)
-        kernels.expect_equal("min_area.rounds", result.rounds, oracle.rounds)
-        kernels.expect_equal(
-            "min_area.constraints", result.constraints, oracle.constraints
-        )
-    return result
-
-
-def _min_area_dict(
-    graph: RetimingGraph,
-    phi: float,
-    bounds: dict[str, tuple[int, int]] | None,
-    model: SharingModel,
-) -> AreaResult:
-    """Dict-based reference engine for :func:`min_area`."""
-    extended = model.graph
-    system = base_system(extended, bounds)
-
     with obs.span("minarea.solve", phi=phi) as span:
-        best, rounds = _lazy_lp_rounds(graph, extended, system, model, phi)
-        obs.count("minarea.rounds", rounds)
-        span.set(rounds=rounds)
+        loop = lazy_min_area(graph, phi, bounds, model)
+        obs.count("minarea.rounds", loop.rounds)
+        span.set(rounds=loop.rounds)
 
-    real_r = {
-        v: best.get(v, 0)
-        for v in graph.vertices
-    }
+    index = loop.system.index
+    real_r = {v: loop.r[index[v]] for v in graph.vertices}
     period = compute_delta(graph, real_r).period
     return AreaResult(
         r=real_r,
         registers=shared_register_count(graph, real_r),
         registers_before=shared_register_count(graph),
         period=period,
-        rounds=rounds,
-        constraints=len(system),
+        rounds=loop.rounds,
+        constraints=len(loop.system),
     )
-
-
-def _lazy_lp_rounds(
-    graph: RetimingGraph,
-    extended: RetimingGraph,
-    system: DifferenceSystem,
-    model: SharingModel,
-    phi: float,
-    capture: dict | None = None,
-) -> tuple[dict[str, int], int]:
-    """The lazy LP loop; returns (solution, rounds used).
-
-    *capture* is forwarded to :func:`_solve_lp` so a caller can inspect
-    the final round's flow network (min-area dual attribution).
-    """
-    best: dict[str, int] | None = None
-    for rounds in range(1, MAX_LAZY_ROUNDS + 1):
-        r = _solve_lp(system, model, capture=capture)
-        if r is None:
-            raise InfeasibleConstraints(
-                f"period {phi} infeasible for {graph.name!r}",
-                system.negative_cycle() or (),
-                period=phi,
-            )
-        violations = system.check(r)
-        if violations:  # numerical/duality bug guard: never expected
-            raise RuntimeError(f"LP solution violates {violations[:3]}")
-        sweep = compute_delta(extended, r)
-        added = False
-        for v, dv in sweep.delta.items():
-            if dv <= phi + EPS:
-                continue
-            if extended.vertices[v].kind == "mirror":
-                continue
-            u = sweep.trace_start(v)
-            bound = r.get(u, 0) - r.get(v, 0) - 1
-            if system.add(u, v, bound, tag="period"):
-                added = True
-        if not added:
-            best = r
-            break
-    if best is None:
-        raise RuntimeError("lazy period-constraint generation did not converge")
-    return best, rounds

@@ -16,13 +16,14 @@ to the period actually *achieved* by each feasible solution (so the
 search converges on an attainable value rather than an arbitrary
 midpoint).
 
-Two engines implement the identical algorithm: the dict-based reference
-below, and the compiled integer-indexed kernels in
-:mod:`repro.kernels.minperiod` (graph compiled once per search,
-incremental SPFA and incremental Δ re-sweeps between lazy rounds).
-``use_kernels=None`` defers to the global switch; results are
-bit-identical either way, which ``REPRO_KERNEL_CHECK=1`` verifies on
-every call.
+Both loops run on the compiled integer-indexed structures of
+:mod:`repro.kernels`: the graph is compiled once per search and shared
+by every probe; inside a feasibility check, rounds after the first
+re-solve the difference system *incrementally* (only newly added
+period constraints are relaxed, seeded from the previous solution) and
+re-sweep Δ *incrementally* (only the cone of vertices the solve
+actually moved); each feasible probe's achieved period is read off the
+final sweep instead of re-deriving it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,15 @@ from dataclasses import dataclass
 
 from .. import obs
 from ..graph.retiming_graph import HOST, RetimingGraph
-from .constraints import DifferenceSystem
-from .feas import compute_delta
+from ..kernels import (
+    CompiledGraph,
+    CompiledSystem,
+    KernelSweep,
+    compile_graph,
+    delta_sweep,
+    refresh,
+)
+from .constraints import DifferenceSystem, InfeasibleConstraints
 
 #: Float comparison slack for delays.
 EPS = 1e-9
@@ -105,63 +113,76 @@ def _solve_normalized(system: DifferenceSystem) -> dict[str, int] | None:
     return r
 
 
-def _check_period_dict(
-    graph: RetimingGraph,
-    phi: float,
-    system: DifferenceSystem,
-) -> FeasibilityResult:
-    """Dict-based reference engine for :func:`check_period`."""
+def _named(csys: CompiledSystem, r: list[int]) -> dict[str, int]:
+    """Name-keyed view of a solution, in variable declaration order."""
+    names = csys.names
+    return {names[i]: r[i] for i in range(len(r))}
+
+
+def _lazy_feasibility(
+    cg: CompiledGraph, phi: float, csys: CompiledSystem
+) -> tuple[list[int] | None, int, KernelSweep | None]:
+    """Lazy feasibility of period *phi*; mutates *csys*.
+
+    Returns ``(r, rounds, sweep)``: the host-normalised retiming (None
+    when infeasible), the rounds used, and the final Δ sweep of ``r``.
+    """
+    n = cg.n
+    is_mirror = cg.is_mirror
+    sweep: KernelSweep | None = None
     with obs.span("minperiod.feas", phi=phi) as span:
         for rounds in range(1, MAX_LAZY_ROUNDS + 1):
-            r = _solve_normalized(system)
-            if r is None:
+            dist = csys.solve()
+            if dist is None:
                 obs.count("feas.passes", rounds)
                 span.set(rounds=rounds, feasible=False)
-                return FeasibilityResult(None, rounds, len(system))
-            sweep = compute_delta(graph, r)
+                return None, rounds, None
+            r = csys.normalized(dist)
+            rg = r[:n]
+            if sweep is None:
+                sweep = delta_sweep(cg, rg)
+            else:
+                sweep = refresh(cg, sweep, rg)
+            delta = sweep.delta
             added = False
-            for v, dv in sweep.delta.items():
-                if dv <= phi + EPS:
+            limit = phi + EPS
+            for v in range(n):
+                # mirrors are synthetic fanout vertices, not path ends
+                if delta[v] <= limit or is_mirror[v]:
                     continue
-                if graph.vertices[v].kind == "mirror":
-                    continue  # synthetic fanout vertex: not a real path end
                 u = sweep.trace_start(v)
                 # register-free path u ~> v: original weight = r(u) − r(v)
-                bound = r.get(u, 0) - r.get(v, 0) - 1
-                if system.add(u, v, bound, tag="period"):
+                bound = r[u] - r[v] - 1
+                if csys.add(u, v, bound):
                     added = True
             if not added:
                 obs.count("feas.passes", rounds)
                 span.set(rounds=rounds, feasible=True)
-                return FeasibilityResult(r, rounds, len(system), sweep.period)
+                return r, rounds, sweep
     raise RuntimeError("lazy period-constraint generation did not converge")
 
 
-def _check_period_kernel(
-    graph: RetimingGraph,
-    phi: float,
-    system: DifferenceSystem,
-) -> FeasibilityResult:
-    """Kernel engine for :func:`check_period`, mirroring generated
-    constraints back into the caller's dict *system*."""
-    from .. import kernels
-
-    cg = kernels.compile_graph(graph)
-    csys = kernels.CompiledSystem.from_system(system, cg)
-    before = len(csys)
-    outcome = kernels.check_period_kernel(cg, phi, csys)
-    # replay additions/tightenings so the dict system stays the record
+def mirror_constraints(system: DifferenceSystem, csys: CompiledSystem) -> None:
+    """Replay into *system* the constraints a lazy loop added to or
+    tightened in *csys*, the compiled copy of *system*, tagged
+    ``period``.  Insertion order carries over, so *system* iterates
+    its constraints in the same order as *csys*."""
     names = csys.names
-    if len(csys) != before or outcome.rounds > 1:
-        for (u, v), slot in csys.pair.items():
-            bound = csys.arc_b[slot]
-            if system.bound(names[u], names[v]) != bound:
-                system.add(names[u], names[v], bound, tag="period")
-    if outcome.r is None:
-        return FeasibilityResult(None, outcome.rounds, len(system))
-    r = {names[i]: outcome.r[i] for i in range(len(outcome.r))}
-    return FeasibilityResult(
-        r, outcome.rounds, len(system), outcome.sweep.period
+    for (u, v), slot in csys.pair.items():
+        bound = csys.arc_b[slot]
+        if system.bound(names[u], names[v]) != bound:
+            system.add(names[u], names[v], bound, tag="period")
+
+
+def period_infeasible(
+    graph: RetimingGraph, phi: float, system: DifferenceSystem
+) -> InfeasibleConstraints:
+    """The structured error for an infeasible period *phi*, carrying a
+    negative cycle of the over-constrained *system* as its certificate."""
+    return InfeasibleConstraints(
+        f"period {phi} infeasible for {graph.name!r}",
+        system.negative_cycle() or (),
+        period=phi,
     )
 
 
@@ -169,7 +190,6 @@ def check_period(
     graph: RetimingGraph,
     phi: float,
     system: DifferenceSystem,
-    use_kernels: bool | None = None,
 ) -> FeasibilityResult:
     """Lazy feasibility of period *phi*; mutates *system* (adds period
     constraints, which remain valid for any smaller φ probe as well).
@@ -182,32 +202,24 @@ def check_period(
     (:func:`repro.retime.dense.dense_period_system`), where constraints
     are materialised unconditionally.
     """
-    from .. import kernels
-
-    if not kernels.resolve(use_kernels):
-        return _check_period_dict(graph, phi, system)
-    if kernels.kernel_check_enabled():
-        shadow = system.copy()
-        result = _check_period_kernel(graph, phi, system)
-        oracle = _check_period_dict(graph, phi, shadow)
-        kernels.expect_equal("check_period.r", result.r, oracle.r)
-        kernels.expect_equal("check_period.rounds", result.rounds, oracle.rounds)
-        kernels.expect_equal(
-            "check_period.constraints", result.constraints, oracle.constraints
-        )
-        return result
-    return _check_period_kernel(graph, phi, system)
+    cg = compile_graph(graph)
+    csys = CompiledSystem.from_system(system, cg)
+    r, rounds, sweep = _lazy_feasibility(cg, phi, csys)
+    if rounds > 1:  # a first-round answer added nothing
+        mirror_constraints(system, csys)
+    if r is None:
+        return FeasibilityResult(None, rounds, len(system))
+    return FeasibilityResult(_named(csys, r), rounds, len(system), sweep.period)
 
 
 def feasible_retiming(
     graph: RetimingGraph,
     phi: float,
     bounds: dict[str, tuple[int, int]] | None = None,
-    use_kernels: bool | None = None,
 ) -> dict[str, int] | None:
     """One-shot feasibility: a legal retiming with period ≤ φ, or None."""
     system = base_system(graph, bounds)
-    return check_period(graph, phi, system, use_kernels=use_kernels).r
+    return check_period(graph, phi, system).r
 
 
 def infeasibility_certificate(
@@ -217,52 +229,52 @@ def infeasibility_certificate(
 ):
     """Structured evidence that period *phi* is infeasible, or None.
 
-    Re-runs the dict-engine lazy feasibility loop (the exceptional
-    error path, so speed is irrelevant) and extracts the negative
-    cycle from the resulting over-constrained system.  Returns an
-    unraised :class:`~repro.retime.constraints.InfeasibleConstraints`
-    ready for the caller to raise, or None when *phi* is feasible.
+    Re-runs the lazy feasibility check (the exceptional error path) and
+    extracts the negative cycle from the resulting over-constrained
+    system.  Returns an unraised
+    :class:`~repro.retime.constraints.InfeasibleConstraints` ready for
+    the caller to raise, or None when *phi* is feasible.
     """
-    from .constraints import InfeasibleConstraints
-
     system = base_system(graph, bounds)
-    if _check_period_dict(graph, phi, system).feasible:
+    if check_period(graph, phi, system).feasible:
         return None
-    return InfeasibleConstraints(
-        f"period {phi} infeasible for {graph.name!r}",
-        system.negative_cycle() or (),
-        period=phi,
-    )
+    return period_infeasible(graph, phi, system)
 
 
-def _min_period_dict(
+def min_period(
     graph: RetimingGraph,
-    bounds: dict[str, tuple[int, int]] | None,
-    eps: float,
+    bounds: dict[str, tuple[int, int]] | None = None,
+    eps: float = 1e-6,
 ) -> MinPeriodResult:
-    """Dict-based reference engine for :func:`min_period`."""
+    """Binary-search the minimum feasible clock period.
+
+    Returns the best feasible (φ, r); φ is the period actually achieved
+    by the returned retiming.  For graphs with integral delays the
+    result is exact; for float delays it is within *eps*.
+    """
     with obs.span("minperiod.search") as span:
-        zero = {v: 0 for v in graph.vertices}
-        start = compute_delta(graph, zero).period
-        lo = max((v.delay for v in graph.vertices.values()), default=0.0)
+        cg = compile_graph(graph)
+        zero = [0] * cg.n
+        start = delta_sweep(cg, zero).period
+        lo = max(cg.delay, default=0.0)
         best_phi = start
-        best_r = zero
+        best_r = cg.r_dict(zero)
         probes = 0
         rounds = 0
         # a period constraint generated while probing φ1 remains valid for
         # every φ ≤ φ1 but can over-constrain larger φ probes, so each probe
         # starts from a fresh copy of the base system
-        base = base_system(graph, bounds)
+        base = CompiledSystem.from_system(base_system(graph, bounds), cg)
         hi = start
         while hi - lo > eps:
             mid = (lo + hi) / 2.0
             probes += 1
-            result = _check_period_dict(graph, mid, base.copy())
-            rounds += result.rounds
-            if result.feasible:
-                achieved = result.achieved
+            r, used, sweep = _lazy_feasibility(cg, mid, base.copy())
+            rounds += used
+            if r is not None:
+                achieved = sweep.period
                 best_phi = achieved
-                best_r = result.r
+                best_r = _named(base, r)
                 hi = min(achieved, mid)
             else:
                 lo = mid
@@ -272,29 +284,3 @@ def _min_period_dict(
     return MinPeriodResult(
         phi=best_phi, r=best_r, achieved=best_phi, probes=probes, rounds=rounds
     )
-
-
-def min_period(
-    graph: RetimingGraph,
-    bounds: dict[str, tuple[int, int]] | None = None,
-    eps: float = 1e-6,
-    use_kernels: bool | None = None,
-) -> MinPeriodResult:
-    """Binary-search the minimum feasible clock period.
-
-    Returns the best feasible (φ, r); φ is the period actually achieved
-    by the returned retiming.  For graphs with integral delays the
-    result is exact; for float delays it is within *eps*.
-    """
-    from .. import kernels
-
-    if not kernels.resolve(use_kernels):
-        return _min_period_dict(graph, bounds, eps)
-    result = kernels.min_period_kernel(graph, bounds, eps)
-    if kernels.kernel_check_enabled():
-        oracle = _min_period_dict(graph, bounds, eps)
-        kernels.expect_equal("min_period.phi", result.phi, oracle.phi)
-        kernels.expect_equal("min_period.r", result.r, oracle.r)
-        kernels.expect_equal("min_period.probes", result.probes, oracle.probes)
-        kernels.expect_equal("min_period.rounds", result.rounds, oracle.rounds)
-    return result

@@ -1,10 +1,4 @@
-"""Delay models and static timing analysis.
-
-``CompiledSTA`` (re-exported from :mod:`repro.kernels.sta`) is the
-incremental engine for repeated what-if analysis against a fixed
-netlist; ``analyze`` is the one-shot entry point and dispatches to it
-automatically when kernels are enabled.
-"""
+"""Delay models and static timing analysis."""
 
 from .delay_models import (
     DelayModel,
@@ -14,17 +8,7 @@ from .delay_models import (
 )
 from .sta import TimingResult, analyze, combinational_depth
 
-
-def __getattr__(name):  # lazy: keeps repro.timing import light and cycle-free
-    if name == "CompiledSTA":
-        from ..kernels.sta import CompiledSTA
-
-        return CompiledSTA
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
-    "CompiledSTA",
     "DelayModel",
     "TimingResult",
     "UNIT_DELAY",

@@ -37,37 +37,13 @@ class TimingResult:
 def analyze(
     circuit: Circuit,
     model: DelayModel = UNIT_DELAY,
-    use_kernels: bool | None = None,
 ) -> TimingResult:
-    """Run STA; returns arrival times and the critical path.
-
-    Dispatches to the compiled engine
-    (:class:`repro.kernels.sta.CompiledSTA`) unless kernels are
-    disabled; both engines produce bit-identical results.  Callers doing
-    repeated what-if analysis against a fixed netlist should hold a
-    ``CompiledSTA`` directly and use its incremental ``update``.
-    """
-    from .. import kernels
-
+    """Run STA; returns arrival times and the critical path."""
     with obs.span("sta.analyze"):
-        if not kernels.resolve(use_kernels):
-            return _analyze_dict(circuit, model)
-        result = kernels.analyze_kernel(circuit, model)
-    if kernels.kernel_check_enabled():
-        oracle = _analyze_dict(circuit, model)
-        kernels.expect_equal("sta.max_delay", result.max_delay, oracle.max_delay)
-        kernels.expect_equal("sta.arrival", result.arrival, oracle.arrival)
-        kernels.expect_equal(
-            "sta.critical_path", result.critical_path, oracle.critical_path
-        )
-        kernels.expect_equal(
-            "sta.critical_sink", result.critical_sink, oracle.critical_sink
-        )
-    return result
+        return _analyze(circuit, model)
 
 
-def _analyze_dict(circuit: Circuit, model: DelayModel) -> TimingResult:
-    """Dict-based reference engine for :func:`analyze`."""
+def _analyze(circuit: Circuit, model: DelayModel) -> TimingResult:
     arrival: dict[str, float] = {}
     pred: dict[str, str | None] = {}
     fanout_count = {net: len(circuit.readers(net)) for net in circuit.nets()}

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import kernels
 from repro.eco import (
     EcoState,
     apply_edit_script,
@@ -187,21 +186,6 @@ def test_forced_fallbacks_match_cold(data):
         return
     _assert_step_identical(state, base, ops, XC4000E_DELAY,
                            dirty_threshold=0.0)
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=base_and_edits(max_steps=2))
-def test_eco_under_kernel_check_mode(data):
-    """REPRO_KERNEL_CHECK=1 runs the built-in cold cross-check inside
-    eco_retime itself; any divergence raises KernelMismatchError."""
-    base, ops = data
-    state = EcoState(base, delay_model=UNIT_DELAY)
-    previous = kernels.set_kernel_check(True)
-    try:
-        _assert_step_identical(state, base, ops, UNIT_DELAY)
-    finally:
-        kernels.set_kernel_check(previous)
 
 
 @RELAXED

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.eco import EcoState, deterministic_metrics, eco_retime
+from repro.eco import (
+    EcoState,
+    apply_edit_script,
+    deterministic_metrics,
+    eco_retime,
+)
 from repro.mcretime import mc_retime
-from repro.netlist import Circuit, GateFn, write_blif
+from repro.netlist import Circuit, GateFn, read_blif, write_blif
+from repro.obs.explain import infeasible_payload
+from repro.retime.constraints import InfeasibleConstraints
 from repro.timing import UNIT_DELAY, XC4000E_DELAY
 
 
@@ -162,3 +169,41 @@ def test_accepts_edited_circuit_instead_of_script():
     eco = eco_retime(state, edited)
     assert eco.plan == "resolve"
     _assert_matches_cold(eco, edited, XC4000E_DELAY)
+
+
+SEEDCHECK = """
+.model seedcheck
+.inputs clk a b c
+.outputs out1 out2
+.names a b n1
+11 1
+.names n1 c n2
+10 1
+.names n2 q1 n3
+01 1
+.mcff r1 d=n3 q=q1 clk=clk
+.mcff r2 d=n2 q=q2 clk=clk en=c
+.mcff r3 d=n1 q=q3 clk=clk sr=a sval=0
+.names q1 q2 out1
+11 1
+.names q3 n2 out2
+10 1
+.end
+"""
+
+
+def test_infeasible_target_raises_the_cold_certificate():
+    """A warm solve of an infeasible target period fails exactly like a
+    cold one: the same error type, message and negative cycle."""
+    base = read_blif(SEEDCHECK)
+    edit = [{"op": "retype_gate", "name": "lut$n1", "fn": "lut", "table": 6}]
+    options = {"target_period": 0.5, "objective": "minperiod"}
+    with pytest.raises(InfeasibleConstraints) as cold:
+        mc_retime(apply_edit_script(base, edit), UNIT_DELAY, **options)
+    state = EcoState(base, delay_model=UNIT_DELAY)
+    with pytest.raises(InfeasibleConstraints) as warm:
+        eco_retime(state, edit, **options)
+    assert state.stats["cold"] == 0  # the warm path raised
+    assert str(warm.value) == str(cold.value)
+    assert warm.value.cycle == cold.value.cycle
+    assert infeasible_payload(warm.value)["valid"] is True

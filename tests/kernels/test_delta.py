@@ -1,9 +1,8 @@
 """Kernel CP/Δ sweeps vs the dict ``compute_delta`` — bit-identical.
 
 Equality here is exact (floats included): the kernels replicate the
-dict engine's iteration orders and float addition order, which is what
-lets the lazy constraint generators above them emit identical
-constraint sets.
+dict sweep's iteration orders and float addition order, so the
+constraints the lazy loops generate do not depend on which one swept.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import pytest
 from repro.graph import HOST, GraphError, RetimingGraph
 from repro.kernels import compile_graph, delta_sweep, refresh
 from repro.retime.feas import compute_delta
-from repro.retime.minperiod import _min_period_dict
+from repro.retime.minperiod import min_period
 from tests.retime.helpers import correlator, random_graph
 
 
@@ -40,7 +39,7 @@ def test_correlator_zero_sweep():
 
 def test_correlator_min_period_retiming():
     g = correlator()
-    best = _min_period_dict(g, None, 1e-6)
+    best = min_period(g)
     assert best.phi == 13.0
     _assert_sweeps_equal(g, best.r)
 
@@ -49,7 +48,7 @@ def test_correlator_min_period_retiming():
 def test_random_graphs_zero_and_retimed(seed):
     g = random_graph(seed, n_vertices=12, n_edges=30)
     _assert_sweeps_equal(g, {})
-    best = _min_period_dict(g, None, 1e-6)
+    best = min_period(g)
     _assert_sweeps_equal(g, best.r)
 
 
@@ -123,7 +122,7 @@ def test_refresh_multi_vertex_change(monkeypatch):
     monkeypatch.setattr(delta_module, "_REFRESH_MIN_N", 0)
     g = random_graph(4, n_vertices=12, n_edges=28)
     cg = compile_graph(g)
-    best = _min_period_dict(g, None, 1e-6)
+    best = min_period(g)
     base = delta_sweep(cg, [0] * cg.n)
     r = cg.r_array(best.r)
     inc = refresh(cg, base, r)  # may fall back to a full sweep: still exact
@@ -262,7 +261,7 @@ def test_order_reuse_in_dict_engine():
     assert again.pred == fresh.pred
     assert again.order == fresh.order
     # an order from a different retiming may be stale: result still exact
-    best = _min_period_dict(g, None, 1e-6)
+    best = min_period(g)
     moved = compute_delta(g, best.r, order=fresh.order)
     reference = compute_delta(g, best.r)
     assert moved.delta == reference.delta

@@ -1,9 +1,8 @@
-"""Property-based kernel/dict differential tests (the ISSUE contract).
+"""End-to-end properties of the retiming engine on random circuits.
 
-The kernels must be *bit-identical* to the dict engines: same minimum
-period, same retiming assignment, same final netlist bytes — on random
-mc-graphs, on random synchronous circuits, and regardless of
-``PYTHONHASHSEED``.
+Every retimed netlist must refine its input, carry a valid
+certificate-backed explanation, and be reproducible: the same bytes on
+a second run and under different ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
@@ -17,109 +16,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro import kernels
 from repro.mcretime import mc_retime
 from repro.mcretime.relocate import RelocationError
 from repro.netlist import write_blif
-from repro.retime.minarea import min_area
-from repro.retime.minperiod import feasible_retiming, min_period
 from repro.timing import XC4000E_DELAY
-from tests.retime.helpers import correlator, random_graph
+from repro.verify import check_sequential
 from tests.strategies import circuits
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-
-
-# --------------------------------------------------------------------- #
-# flag plumbing
-
-
-def test_resolve_precedence():
-    previous = kernels.set_kernels_enabled(True)
-    try:
-        assert kernels.resolve(None) is True
-        assert kernels.resolve(False) is False
-        kernels.set_kernels_enabled(False)
-        assert kernels.resolve(None) is False
-        assert kernels.resolve(True) is True
-    finally:
-        kernels.set_kernels_enabled(previous)
-
-
-def test_use_kernels_context_manager_restores():
-    before = kernels.kernels_enabled()
-    with kernels.use_kernels(not before):
-        assert kernels.kernels_enabled() is not before
-    assert kernels.kernels_enabled() is before
-    with pytest.raises(RuntimeError):
-        with kernels.use_kernels(not before):
-            raise RuntimeError("boom")
-    assert kernels.kernels_enabled() is before  # restored on error too
-
-
-def test_expect_equal_raises_mismatch():
-    kernels.expect_equal("demo", 1, 1)
-    with pytest.raises(kernels.KernelMismatchError) as err:
-        kernels.expect_equal("demo", 1, 2)
-    assert "demo" in str(err.value)
-    assert issubclass(kernels.KernelMismatchError, AssertionError)
-
-
-# --------------------------------------------------------------------- #
-# graph-level agreement
-
-
-@pytest.mark.parametrize("seed", [1, 2, 5, 9, 13])
-def test_min_period_agreement_on_random_graphs(seed):
-    g = random_graph(seed, n_vertices=14, n_edges=34)
-    with kernels.use_kernels(True):
-        fast = min_period(g)
-    with kernels.use_kernels(False):
-        slow = min_period(g)
-    assert fast.phi == slow.phi
-    assert fast.r == slow.r
-    assert fast.probes == slow.probes
-    assert fast.rounds == slow.rounds
-
-
-@pytest.mark.parametrize("seed", [1, 5, 9])
-def test_min_area_agreement_on_random_graphs(seed):
-    g = random_graph(seed, n_vertices=12, n_edges=28)
-    phi = min_period(g, use_kernels=False).phi
-    fast = min_area(g, phi, use_kernels=True)
-    slow = min_area(g, phi, use_kernels=False)
-    assert fast.r == slow.r
-    assert fast.registers == slow.registers
-    assert fast.period == slow.period
-    assert fast.rounds == slow.rounds
-    assert fast.constraints == slow.constraints
-
-
-def test_feasible_retiming_agreement():
-    g = correlator()
-    for phi in (12.0, 13.0, 20.0, 24.0):
-        fast = feasible_retiming(g, phi, use_kernels=True)
-        slow = feasible_retiming(g, phi, use_kernels=False)
-        assert fast == slow
-    assert feasible_retiming(g, 12.0, use_kernels=True) is None
-
-
-def test_differential_check_mode_passes_on_real_solves():
-    """REPRO_KERNEL_CHECK's code path: kernel + oracle both run and the
-    comparison holds on every public entry point."""
-    g = random_graph(3, n_vertices=10, n_edges=24)
-    previous = kernels.set_kernel_check(True)
-    try:
-        with kernels.use_kernels(True):
-            result = min_period(g)
-            min_area(g, result.phi)
-            feasible_retiming(g, result.phi)
-    finally:
-        kernels.set_kernel_check(previous)
-
-
-# --------------------------------------------------------------------- #
-# circuit-level agreement (the end-to-end property)
 
 
 @settings(
@@ -128,40 +32,21 @@ def test_differential_check_mode_passes_on_real_solves():
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(circuit=circuits(max_gates=10, max_registers=4))
-def test_mc_retime_netlists_bit_identical(circuit):
+def test_mc_retime_outputs_refine_explain_and_repeat(circuit):
     # Some generated circuits hit known engine limits (e.g. a relocation
-    # deadlock).  That is not a kernel/dict divergence — the property
-    # then is that both engines fail identically.
+    # deadlock); the property then is that the failure repeats exactly.
     try:
-        fast = mc_retime(circuit, use_kernels=True)
-    except RelocationError as fast_err:
-        with pytest.raises(RelocationError) as slow_err:
-            mc_retime(circuit, use_kernels=False)
-        assert str(slow_err.value) == str(fast_err)
+        first = mc_retime(circuit, explain=True)
+    except RelocationError as err:
+        with pytest.raises(RelocationError) as again:
+            mc_retime(circuit, explain=True)
+        assert str(again.value) == str(err)
         return
-    slow = mc_retime(circuit, use_kernels=False)
-    assert fast.r == slow.r
-    assert fast.period_after == slow.period_after
-    assert fast.ff_after == slow.ff_after
-    assert fast.area_registers == slow.area_registers
-    assert write_blif(fast.circuit) == write_blif(slow.circuit)
-
-
-@settings(
-    max_examples=6,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(circuit=circuits(max_gates=8, max_registers=3))
-def test_mc_retime_under_check_mode(circuit):
-    """Every kernel call inside the engine survives differential mode."""
-    previous = kernels.set_kernel_check(True)
-    try:
-        mc_retime(circuit, use_kernels=True)
-    except RelocationError:
-        pass  # known engine limit; check mode itself raised no mismatch
-    finally:
-        kernels.set_kernel_check(previous)
+    check = check_sequential(circuit, first.circuit)
+    assert check.equivalent, check
+    assert first.explanation["valid"] is True, first.explanation["errors"]
+    second = mc_retime(circuit, explain=True)
+    assert write_blif(second.circuit) == write_blif(first.circuit)
 
 
 # --------------------------------------------------------------------- #
@@ -194,15 +79,13 @@ BLIF = '''
 '''
 
 circuit = read_blif(BLIF)
-fast = mc_retime(circuit, XC4000E_DELAY, use_kernels=True)
-slow = mc_retime(circuit, XC4000E_DELAY, use_kernels=False)
-print(hashlib.sha256(write_blif(fast.circuit).encode()).hexdigest())
-print(hashlib.sha256(write_blif(slow.circuit).encode()).hexdigest())
+result = mc_retime(circuit, XC4000E_DELAY)
+print(hashlib.sha256(write_blif(result.circuit).encode()).hexdigest())
 """
 
 
 def test_retimed_netlist_stable_across_hash_seeds(tmp_path):
-    """Kernel and dict engines produce the same bytes under different
+    """The engine produces the same bytes under different
     PYTHONHASHSEED values — no hidden set/dict-order dependence."""
     script = tmp_path / "hashseed_probe.py"
     script.write_text(_HASHSEED_SCRIPT)
@@ -220,10 +103,8 @@ def test_retimed_netlist_stable_across_hash_seeds(tmp_path):
             timeout=180,
         )
         assert proc.returncode == 0, proc.stderr
-        fast_digest, slow_digest = proc.stdout.split()
-        assert fast_digest == slow_digest  # kernel == dict within a run
-        digests.add(fast_digest)
-    assert len(digests) == 1  # and across interpreter hash seeds
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_hashseed_blif_is_a_real_workload():
@@ -233,6 +114,6 @@ def test_hashseed_blif_is_a_real_workload():
 
     blif = _HASHSEED_SCRIPT.split("'''")[1]
     circuit = read_blif(blif)
-    result = mc_retime(circuit, XC4000E_DELAY, use_kernels=True)
+    result = mc_retime(circuit, XC4000E_DELAY)
     assert result.period_after <= result.period_before
     assert hashlib.sha256(write_blif(result.circuit).encode()).hexdigest()

@@ -1,11 +1,13 @@
 """The run ledger: schema, round-trip, tolerance, rotation."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import obs
 from repro.obs import ledger as ledger_mod
+from repro.obs import sentinel
 
 
 class TestRecordSchema:
@@ -182,3 +184,33 @@ class TestFingerprint:
         )
         assert obs.design_fingerprint(a) == obs.design_fingerprint(b)
         assert len(obs.design_fingerprint(a)) == 64
+
+
+class TestCommittedBaseline:
+    """Records written while the env block still carried ``kernels``
+    stay valid, and records without it compare against them."""
+
+    BASELINE = (
+        Path(__file__).resolve().parents[2]
+        / "benchmarks"
+        / "BASELINE_ledger.jsonl"
+    )
+
+    def test_old_records_validate_and_compare(self, tmp_path):
+        baseline = ledger_mod.RunLedger(self.BASELINE).load(strict=True)
+        assert baseline
+        assert all(r["env"].get("kernels") is True for r in baseline)
+        for record in baseline:
+            ledger_mod.validate_record(record)
+        fresh = tmp_path / "fresh.jsonl"
+        with fresh.open("w") as fh:
+            for record in baseline:
+                current = dict(record, env=ledger_mod.environment())
+                assert "kernels" not in current["env"]
+                fh.write(json.dumps(ledger_mod.validate_record(current)) + "\n")
+        report = sentinel.check(
+            self.BASELINE, fresh, mode="relative", threshold=2.0
+        )
+        assert report.deltas
+        assert not report.unmatched
+        assert report.ok

@@ -126,16 +126,15 @@ class TestDeterminism:
         assert profile.n_samples > 0
 
     def test_kernel_hot_loops_in_flame_data(self):
-        """With REPRO_USE_KERNELS-style execution the retiming engine's
-        hot loops dominate the flame data (the profile is useful, not
-        just nonempty)."""
+        """The retiming engine's hot loops dominate the flame data (the
+        profile is useful, not just nonempty)."""
         from repro.mcretime import mc_retime
         from repro.synth import build_design
         from repro.timing import XC4000E_DELAY
 
         circuit = build_design("C3", 0.3).circuit
         profiler = SamplingProfiler(interval=0.001).start()
-        mc_retime(circuit, XC4000E_DELAY, use_kernels=True)
+        mc_retime(circuit, XC4000E_DELAY)
         profile = profiler.stop()
         assert profile.n_samples > 0
         seen = profile.functions_seen()

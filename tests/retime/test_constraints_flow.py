@@ -3,11 +3,9 @@
 import networkx as nx
 import pytest
 
-from repro.retime import (
-    DifferenceSystem,
-    FlowInfeasibleError,
-    MinCostFlow,
-)
+from repro.kernels import IntMinCostFlow
+from repro.kernels.mcf import FlowInfeasibleError
+from repro.retime import DifferenceSystem
 
 
 class TestDifferenceSystem:
@@ -70,67 +68,57 @@ class TestDifferenceSystem:
         assert s.check(r) == []
 
 
+def network(supply, arcs):
+    """An IntMinCostFlow over nodes 0..len(supply)-1."""
+    f = IntMinCostFlow(len(supply))
+    f.supply = list(supply)
+    for arc in arcs:
+        f.add_arc(*arc)
+    return f
+
+
+def solve_cost(f, initial_potentials=None):
+    """Solve and return the total cost of the routed flow."""
+    f.solve(initial_potentials)
+    return sum(cost * flow for _, _, cost, flow in f.arcs())
+
+
 class TestMinCostFlow:
     def test_direct_route(self):
-        f = MinCostFlow()
-        f.add_node("s", 3)
-        f.add_node("t", -3)
-        arc = f.add_arc("s", "t", 5)
-        assert f.solve() == 15
-        assert arc.flow == 3
+        f = network([3, -3], [(0, 1, 5)])
+        assert solve_cost(f) == 15
+        assert f.arcs() == [(0, 1, 5, 3)]
 
     def test_chooses_cheap_path(self):
-        f = MinCostFlow()
-        f.add_node("s", 2)
-        f.add_node("t", -2)
-        cheap = f.add_arc("s", "t", 1)
-        costly = f.add_arc("s", "t", 10)
-        assert f.solve() == 2
-        assert cheap.flow == 2 and costly.flow == 0
+        f = network([2, -2], [(0, 1, 1), (0, 1, 10)])
+        assert solve_cost(f) == 2
+        assert [a[3] for a in f.arcs()] == [2, 0]
 
     def test_capacity_forces_split(self):
-        f = MinCostFlow()
-        f.add_node("s", 4)
-        f.add_node("t", -4)
-        cheap = f.add_arc("s", "t", 1, capacity=3)
-        costly = f.add_arc("s", "t", 5)
-        assert f.solve() == 3 * 1 + 1 * 5
-        assert cheap.flow == 3 and costly.flow == 1
+        f = network([4, -4], [(0, 1, 1, 3), (0, 1, 5)])
+        assert solve_cost(f) == 3 * 1 + 1 * 5
+        assert [a[3] for a in f.arcs()] == [3, 1]
 
     def test_transit_node(self):
-        f = MinCostFlow()
-        f.add_node("s", 1)
-        f.add_node("m")
-        f.add_node("t", -1)
-        f.add_arc("s", "m", 2)
-        f.add_arc("m", "t", 3)
-        assert f.solve() == 5
+        f = network([1, 0, -1], [(0, 1, 2), (1, 2, 3)])
+        assert solve_cost(f) == 5
 
     def test_unbalanced_rejected(self):
-        f = MinCostFlow()
-        f.add_node("s", 1)
+        f = network([1], [])
         with pytest.raises(FlowInfeasibleError):
             f.solve()
 
     def test_unreachable_demand(self):
-        f = MinCostFlow()
-        f.add_node("s", 1)
-        f.add_node("t", -1)
+        f = network([1, -1], [])
         with pytest.raises(FlowInfeasibleError):
             f.solve()
 
     def test_negative_cost_needs_potentials(self):
-        f = MinCostFlow()
-        f.add_node("s", 1)
-        f.add_node("t", -1)
-        f.add_arc("s", "t", -2)
+        f = network([1, -1], [(0, 1, -2)])
         with pytest.raises(ValueError):
             f.solve()
-        f2 = MinCostFlow()
-        f2.add_node("s", 1)
-        f2.add_node("t", -1)
-        f2.add_arc("s", "t", -2)
-        assert f2.solve(initial_potentials={"s": 0, "t": -2}) == -2
+        f2 = network([1, -1], [(0, 1, -2)])
+        assert solve_cost(f2, [0, -2]) == -2
 
     def test_matches_networkx(self):
         import random
@@ -138,32 +126,26 @@ class TestMinCostFlow:
         rng = random.Random(7)
         for trial in range(10):
             n = 6
-            f = MinCostFlow()
-            g = nx.DiGraph()
             supplies = [0] * n
             for i in range(n - 1):
                 amount = rng.randint(0, 3)
                 supplies[i] += amount
                 supplies[-1] -= amount
-            for i in range(n):
-                f.add_node(f"v{i}", supplies[i])
-                g.add_node(f"v{i}", demand=-supplies[i])
+            arcs = []
             for _ in range(14):
                 u, v = rng.sample(range(n), 2)
-                cost = rng.randint(0, 9)
-                cap = rng.randint(1, 6)
-                f.add_arc(f"v{u}", f"v{v}", cost, capacity=cap)
-                # networkx needs parallel-edge aggregation; use MultiDiGraph
-            # rebuild as MultiDiGraph for parallel arcs
+                arcs.append((u, v, rng.randint(0, 9), rng.randint(1, 6)))
+            f = network(supplies, arcs)
+            # a MultiDiGraph keeps parallel arcs apart
             g = nx.MultiDiGraph()
             for i in range(n):
-                g.add_node(f"v{i}", demand=-supplies[i])
-            for arc in f.arcs():
-                g.add_edge(arc.u, arc.v, weight=arc.cost, capacity=int(arc.capacity))
+                g.add_node(i, demand=-supplies[i])
+            for u, v, cost, cap in arcs:
+                g.add_edge(u, v, weight=cost, capacity=cap)
             try:
                 expected, _ = nx.network_simplex(g)
             except nx.NetworkXUnfeasible:
                 with pytest.raises(FlowInfeasibleError):
                     f.solve()
                 continue
-            assert f.solve() == expected
+            assert solve_cost(f) == expected

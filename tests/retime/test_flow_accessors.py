@@ -2,59 +2,36 @@
 
 import pytest
 
+from repro.kernels import IntMinCostFlow
 from repro.logic.functions import MAX_EXACT_UNKNOWNS, eval_table
 from repro.logic.ternary import T1, TX
 from repro.netlist import Gate, GateFn
-from repro.retime import MinCostFlow
 
 
 class TestFlowAccessors:
-    def test_potentials_before_solve_raises(self):
-        f = MinCostFlow()
-        f.add_node("s", 0)
-        with pytest.raises(RuntimeError):
-            f.potentials()
-
     def test_potentials_after_solve(self):
-        f = MinCostFlow()
-        f.add_node("s", 2)
-        f.add_node("t", -2)
-        f.add_arc("s", "t", 3)
+        f = IntMinCostFlow(2)
+        f.supply = [2, -2]
+        f.add_arc(0, 1, 3)
         f.solve()
-        pots = f.potentials()
-        assert set(pots) == {"s", "t"}
+        pots = f.potential
+        assert len(pots) == 2
         # reduced cost of the saturating arc is tight
-        assert 3 + pots["s"] - pots["t"] == pytest.approx(0.0)
+        assert 3 + pots[0] - pots[1] == pytest.approx(0.0)
 
     def test_arcs_view_updated(self):
-        f = MinCostFlow()
-        f.add_node("s", 1)
-        f.add_node("t", -1)
-        arc = f.add_arc("s", "t", 2)
-        assert arc.flow == 0
+        f = IntMinCostFlow(2)
+        f.supply = [1, -1]
+        f.add_arc(0, 1, 2)
+        assert f.arcs() == [(0, 1, 2, 0)]
         f.solve()
-        assert [a.flow for a in f.arcs()] == [1]
-
-    def test_node_names(self):
-        f = MinCostFlow()
-        f.add_node("x")
-        f.add_node("y")
-        assert f.node_names() == ["x", "y"]
-
-    def test_supply_accumulates(self):
-        f = MinCostFlow()
-        f.add_node("s", 1)
-        f.add_node("s", 2)
-        f.add_node("t", -3)
-        f.add_arc("s", "t", 1)
-        assert f.solve() == 3
+        assert f.arcs() == [(0, 1, 2, 1)]
 
     def test_zero_supply_trivial(self):
-        f = MinCostFlow()
-        f.add_node("a")
-        f.add_node("b")
-        f.add_arc("a", "b", 5)
-        assert f.solve() == 0
+        f = IntMinCostFlow(2)
+        f.add_arc(0, 1, 5)
+        f.solve()
+        assert [flow for *_, flow in f.arcs()] == [0]
 
 
 class TestWideGateGuard:
