@@ -1,4 +1,4 @@
-"""Benchmark: batch service throughput, scale-out saturation, phases.
+"""Benchmark: batch service throughput, pool saturation, phases.
 
 Measures four things and writes them to ``BENCH_service.json``
 (override the path with ``REPRO_BENCH_SERVICE_OUT``):
@@ -6,16 +6,14 @@ Measures four things and writes them to ``BENCH_service.json``
 * **batch throughput** — an N-design batch cold at 1 worker, cold at
   the pool size, and warm (cache hits);
 * **per-phase breakdown** — where a cold batch's wall-clock goes:
-  ``serialize`` (canonicalisation), ``intern`` (work-graph build +
-  CSR pack), ``admit`` (front-end submission), ``solve`` (worker
-  stage seconds);
+  ``serialize`` (canonicalisation), ``admit`` (front-end submission),
+  ``solve`` (worker stage seconds);
 * **saturation** — cold jobs/sec for a target-period sweep at 1
-  worker vs ``--pool-workers`` workers, in both legacy
-  (ship-the-netlist) and scale-out (shared-memory interned) dispatch
-  modes.  The scaling gate (pool rate >= 3x the 1-worker rate) is
-  enforced by ``--check`` when the host actually has >= 4 cores —
-  the CI ``service-saturation-smoke`` job runs on one; a 1-core dev
-  box records the honest curve without failing;
+  worker vs ``--pool-workers`` workers.  The scaling gate (pool rate
+  >= 3x the 1-worker rate) is enforced by ``--check`` when the host
+  actually has >= 4 cores — the CI ``service-saturation-smoke`` job
+  runs on one; a 1-core dev box records the honest curve without
+  failing;
 * **run-ledger records** — spans + metrics appended for the perf
   sentinel (relative mode vs ``benchmarks/BASELINE_ledger.jsonl``).
 
@@ -97,14 +95,10 @@ def _sweep_jobs(designs: list[str], scale: float, n_jobs: int):
     return jobs
 
 
-def _timed_batch(
-    jobs, workers: int, cache_dir: Path | None, scaleout: bool | None = None
-) -> dict[str, float]:
+def _timed_batch(jobs, workers: int, cache_dir: Path | None) -> dict[str, float]:
     from repro.service import RetimeService
 
-    service = RetimeService(
-        workers=workers, cache_dir=cache_dir, scaleout=scaleout
-    )
+    service = RetimeService(workers=workers, cache_dir=cache_dir)
     try:
         admit = 0.0
         t0 = time.perf_counter()
@@ -130,36 +124,20 @@ def _timed_batch(
             "solve_seconds": sum(
                 stage_hist.sum(stage=stage) for stage in _STAGES
             ),
-            "scaleout": service.scaleout,
         }
     finally:
         service.close()
 
 
 def _phase_breakdown(jobs) -> dict[str, float]:
-    """Design-level costs the scale-out path pays once, not per job."""
-    from repro.kernels import compile_graph
-    from repro.mcretime import intern_work_graph
-    from repro.netlist import read_blif
+    """Front-end canonicalisation cost of a cold batch."""
     from repro.service import RetimeJob
-    from repro.service.interning import HAVE_SHM, pack_segment
-    from repro.timing import XC4000E_DELAY
 
     t0 = time.perf_counter()
     fresh = [RetimeJob.from_dict(job.to_dict()) for job in jobs]
     for job in fresh:
         job.canonical_key  # parse + canonical emit + hash
-    serialize = time.perf_counter() - t0
-
-    intern = 0.0
-    for netlist in {job.netlist for job in jobs}:
-        t0 = time.perf_counter()
-        circuit = read_blif(netlist)
-        cg = compile_graph(intern_work_graph(circuit, XC4000E_DELAY, True))
-        if HAVE_SHM:
-            pack_segment(netlist, {"seed": cg.to_buffer()})
-        intern += time.perf_counter() - t0
-    return {"serialize_seconds": serialize, "intern_seconds": intern}
+    return {"serialize_seconds": time.perf_counter() - t0}
 
 
 def run_bench(
@@ -183,23 +161,16 @@ def run_bench(
     phases["solve_seconds"] = cold_pool["solve_seconds"]
 
     sweep = _sweep_jobs(designs, scale, n_jobs)
-    legacy_1w = _timed_batch(sweep, 1, None, scaleout=False)
-    scaleout_1w = _timed_batch(sweep, 1, None)
-    scaleout_pool = _timed_batch(sweep, pool_workers, None)
+    sweep_1w = _timed_batch(sweep, 1, None)
+    sweep_pool = _timed_batch(sweep, pool_workers, None)
     saturation = {
         "n_jobs": len(sweep),
         "pool_workers": pool_workers,
         "cpu_count": cpu_count,
-        "legacy_1_worker": legacy_1w,
-        "scaleout_1_worker": scaleout_1w,
-        "scaleout_pool": scaleout_pool,
+        "one_worker": sweep_1w,
+        "pool": sweep_pool,
         "speedup_vs_1_worker": (
-            scaleout_pool["jobs_per_sec"]
-            / max(scaleout_1w["jobs_per_sec"], 1e-9)
-        ),
-        "speedup_vs_legacy_1_worker": (
-            scaleout_pool["jobs_per_sec"]
-            / max(legacy_1w["jobs_per_sec"], 1e-9)
+            sweep_pool["jobs_per_sec"] / max(sweep_1w["jobs_per_sec"], 1e-9)
         ),
     }
 
@@ -224,9 +195,8 @@ def run_bench(
             "cold_1_worker": cold_serial["seconds"],
             "cold_pool": cold_pool["seconds"],
             "warm_cache": warm["seconds"],
-            "saturation_legacy_1w": legacy_1w["seconds"],
-            "saturation_scaleout_1w": scaleout_1w["seconds"],
-            "saturation_scaleout_pool": scaleout_pool["seconds"],
+            "saturation_1w": sweep_1w["seconds"],
+            "saturation_pool": sweep_pool["seconds"],
         },
         config={
             "designs": designs,
@@ -241,7 +211,7 @@ def run_bench(
             "jobs_per_sec_pool": cold_pool["jobs_per_sec"],
             "cache_hit_rate_warm": warm["cache_hit_rate"],
             "saturation_speedup": saturation["speedup_vs_1_worker"],
-            "saturation_jobs_per_sec": scaleout_pool["jobs_per_sec"],
+            "saturation_jobs_per_sec": sweep_pool["jobs_per_sec"],
         },
     )
     return report
@@ -259,13 +229,11 @@ def check_gates(report: dict) -> list[str]:
         failures.append("warm p95 latency is 0.0 (empty reservoir bug)")
     sat = report["saturation"]
     if sat["cpu_count"] >= 4 and sat["pool_workers"] >= 4:
-        best = max(
-            sat["speedup_vs_1_worker"], sat["speedup_vs_legacy_1_worker"]
-        )
-        if best < 3.0:
+        speedup = sat["speedup_vs_1_worker"]
+        if speedup < 3.0:
             failures.append(
                 f"saturation: {sat['pool_workers']}-worker rate is only "
-                f"{best:.2f}x the 1-worker rate "
+                f"{speedup:.2f}x the 1-worker rate "
                 f"(gate: >= 3x on a >= 4-core host)"
             )
     return failures
@@ -285,10 +253,7 @@ def test_service_throughput(tmp_path):
     assert report["phases"]["solve_seconds"] > 0.0
     assert report["phases"]["serialize_seconds"] > 0.0
     if (os.cpu_count() or 1) >= 4:
-        sat = report["saturation"]
-        assert max(
-            sat["speedup_vs_1_worker"], sat["speedup_vs_legacy_1_worker"]
-        ) >= 3.0
+        assert report["saturation"]["speedup_vs_1_worker"] >= 3.0
     print(json.dumps(report, indent=2))
 
 

@@ -4,8 +4,8 @@ A topology-preserving edit leaves every array of the base design's
 compiled work graph valid except the per-vertex ``delay`` column (gate
 retypes change cell delays; everything else — names, edge arrays, CSR
 adjacency, movability flags — is structure, which the edit preserved).
-Instead of re-walking the dict graph (or re-interning a shared-memory
-segment), :func:`patch_compiled_delays` builds a copy-on-write
+Instead of re-walking the dict graph, :func:`patch_compiled_delays`
+builds a copy-on-write
 :class:`~repro.kernels.CompiledGraph` that shares **every** array with
 the base snapshot by reference and carries a freshly patched ``delay``
 list — an O(dirty) operation independent of design size.
@@ -59,8 +59,7 @@ def patch_compiled_delays(
     Returns *cg* itself when *updates* is empty; otherwise a new
     :class:`~repro.kernels.CompiledGraph` sharing every array with *cg*
     by reference except ``delay``, which is a patched copy.  The base
-    snapshot is never mutated — it may be a zero-copy view into a
-    shared-memory segment other workers are reading.
+    snapshot is never mutated, so every later edit starts from it.
     """
     if not updates:
         return cg

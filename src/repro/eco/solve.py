@@ -18,11 +18,10 @@ approximation:
   content + patched delay vector + solve options) returns the full
   retiming instantly for any edit that lands on a previously solved
   delay configuration (reset nudges, reverts, A/B sweeps);
-* on a solve-cache miss the edit's delay changes are patched
-  copy-on-write into the interned CSR snapshot
-  (:func:`repro.eco.patch.patch_compiled_delays`) instead of
-  re-interning, and the live solve runs the exact cold trajectory over
-  the patched arrays;
+* on a solve-cache miss the edit's delay changes are patched into a
+  copy of the base's work graph
+  (:func:`repro.eco.patch.patch_graph_delays`), and the live solve
+  runs the exact cold trajectory over it;
 * clock periods before/after are recomputed with the incremental
   Δ ``refresh`` (:mod:`repro.kernels.delta`), seeded with the edit's
   dirty vertices (``extra_seeds``) and re-swept only over the edit's
@@ -44,19 +43,12 @@ from dataclasses import dataclass, field
 
 from .. import obs
 from ..graph.build import build_mcgraph
-from ..kernels import (
-    compile_graph,
-    delta_sweep,
-    refresh,
-    seed_intern,
-    unseed_intern,
-)
+from ..kernels import compile_graph, delta_sweep, refresh
 from ..kernels.delta import _REFRESH_FRACTION
 from ..mcretime import MCRetimeResult, mc_retime
 from ..mcretime.bounds import compute_bounds
 from ..mcretime.classes import Classifier
 from ..mcretime.engine import (
-    SolvedRetiming,
     _real_r,
     _verify_reset_requirements,
     solve_and_relocate,
@@ -148,15 +140,11 @@ class EcoState:
         circuit: Circuit,
         delay_model: DelayModel = UNIT_DELAY,
         semantic_classes: bool = True,
-        intern_key: str | None = None,
         max_solve_records: int = 64,
     ) -> None:
         self.circuit = circuit
         self.delay_model = delay_model
         self.semantic_classes = semantic_classes
-        #: optional shared-memory seed tag for the work graph (the
-        #: service's interned segment); consumed by the first compile
-        self.intern_key = intern_key
         self.max_solve_records = max(1, max_solve_records)
         self.solve_cache: dict[str, SolveRecord] = {}
         self.stats = {
@@ -167,7 +155,6 @@ class EcoState:
             "patched_entries": 0,
         }
         self._built = False
-        self._patch_token = 0
 
     # -- lazy prefix ---------------------------------------------------
 
@@ -186,8 +173,6 @@ class EcoState:
             self.transform = apply_sharing_transform(
                 self.graph, self.bounds.bounds, self.bounds.backward_graph
             )
-            if self.intern_key is not None:
-                self.transform.graph.intern_key = f"{self.intern_key}|work"
             #: name -> class id of the base (class-preservation check)
             self.cid_map = {
                 name: self.classifier.classify(reg)
@@ -199,8 +184,6 @@ class EcoState:
             self.zero_sweep = delta_sweep(
                 self.graph_cg, [0] * self.graph_cg.n
             )
-            #: work-graph CSR (honours the interned seed when tagged)
-            self.work_cg = compile_graph(self.transform.graph)
             self.structural_key = hashlib.sha256(
                 json.dumps(
                     {
@@ -241,10 +224,6 @@ class EcoState:
             self.solve_cache.pop(next(iter(self.solve_cache)))
         self.solve_cache[key] = record
 
-    def next_patch_key(self) -> str:
-        self._patch_token += 1
-        return f"eco|{self.structural_key[:16]}|{self._patch_token}"
-
 
 def _periods(
     state: EcoState,
@@ -268,49 +247,6 @@ def _periods(
     r_list = cg.r_array(_real_r(state.graph, full_r))
     after = refresh(cg, before, r_list)
     return before.period, after.period
-
-
-def _warm_solve(
-    state: EcoState,
-    work_graph,
-    work_cg_patched,
-    objective: str,
-    target_period: float | None,
-    max_conflict_resolves: int,
-    edited: Circuit,
-    classifier: Classifier,
-    timings: dict[str, float],
-) -> SolvedRetiming:
-    """The cold solve/relocate loop, minus build/bounds/sharing.
-
-    Runs :func:`repro.mcretime.engine.solve_and_relocate` — the loop
-    :func:`repro.mcretime.mc_retime` runs after its prefix — over the
-    (possibly delay-patched) work graph with a fresh bounds copy, so
-    the trajectory and result match a cold solve of the edited design
-    bit for bit.
-    """
-    patch_key = None
-    if work_graph is not state.transform.graph:
-        # seed the patched CSR so the solver's compile is O(dirty)
-        # instead of a full dict-graph walk
-        patch_key = state.next_patch_key()
-        seed_intern(patch_key, work_cg_patched)
-        work_graph.intern_key = patch_key
-
-    try:
-        return solve_and_relocate(
-            edited,
-            classifier,
-            work_graph,
-            dict(state.transform.bounds),
-            target_period,
-            objective,
-            max_conflict_resolves,
-            timings,
-        )
-    finally:
-        if patch_key is not None:
-            unseed_intern(patch_key)
 
 
 def eco_retime(
@@ -438,34 +374,26 @@ def eco_retime(
                 else:
                     obs.count("eco.cache.miss")
                     plan = "resolve"
+                    work_graph = state.transform.graph
                     if updates:
-                        by_name = {
-                            state.graph_cg.names[i]: d
-                            for i, d in updates.items()
-                        }
                         work_graph = patch_graph_delays(
-                            state.transform.graph, by_name
+                            work_graph,
+                            {
+                                state.graph_cg.names[i]: d
+                                for i, d in updates.items()
+                            },
                         )
-                        work_updates = {
-                            state.work_cg.index[name]: d
-                            for name, d in by_name.items()
-                            if name in state.work_cg.index
-                        }
-                        work_cg = patch_compiled_delays(
-                            state.work_cg, work_updates
-                        )
-                    else:
-                        work_graph = state.transform.graph
-                        work_cg = state.work_cg
-                    solved = _warm_solve(
-                        state,
-                        work_graph,
-                        work_cg,
-                        objective,
-                        target_period,
-                        max_conflict_resolves,
+                    # the loop mc_retime runs after its prefix, over a
+                    # fresh bounds copy: the trajectory (hence the
+                    # result) is a cold solve's, bit for bit
+                    solved = solve_and_relocate(
                         edited,
                         classifier,
+                        work_graph,
+                        dict(state.transform.bounds),
+                        target_period,
+                        objective,
+                        max_conflict_resolves,
                         timings,
                     )
                     full_r, gate_r = solved.r, solved.gate_r

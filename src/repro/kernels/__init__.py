@@ -13,16 +13,7 @@ generic-register (EN/SR/AR) and ternary semantics.
 
 from __future__ import annotations
 
-from .compiled_graph import (
-    HAVE_NUMPY,
-    CompiledGraph,
-    clear_intern_seeds,
-    compile_graph,
-    graph_from_buffer,
-    intern_stats,
-    seed_intern,
-    unseed_intern,
-)
+from .compiled_graph import CompiledGraph, compile_graph
 from .delta import KernelSweep, delta_sweep, refresh
 from .diffsys import CompiledSystem
 from .mcf import IntMinCostFlow
@@ -37,7 +28,6 @@ from .sim import (
 )
 
 __all__ = [
-    "HAVE_NUMPY",
     "BitSimulator",
     "CompiledCircuit",
     "CompiledGraph",
@@ -45,13 +35,8 @@ __all__ = [
     "IntMinCostFlow",
     "KernelSweep",
     "broadcast",
-    "clear_intern_seeds",
     "compile_circuit",
     "compile_graph",
-    "graph_from_buffer",
-    "intern_stats",
-    "seed_intern",
-    "unseed_intern",
     "delta_sweep",
     "pack_lanes",
     "pack_vectors",

@@ -18,14 +18,11 @@ typically moves only a few vertices.
 
 from __future__ import annotations
 
+import numpy as _np
+
 from .. import obs
 from ..graph.retiming_graph import GraphError
 from .compiled_graph import CompiledGraph
-
-try:  # pragma: no cover
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
 
 #: Below this edge count the vectorised zero-edge scan is not worth the
 #: ndarray round-trip.
@@ -107,7 +104,7 @@ def _zero_edges(
     matching the dict implementation's error and ordering.
     """
     m = cg.m
-    if _np is not None and cg.ew_np is not None and m >= _NUMPY_MIN_EDGES:
+    if cg.ew_np is not None and m >= _NUMPY_MIN_EDGES:
         ra = _np.asarray(r, dtype=_np.int64)
         wr = cg.ew_np + ra[cg.ev_np] - ra[cg.eu_np]
         neg = wr < 0

@@ -12,11 +12,11 @@ add a few period constraints, and solve again.  Distances only ever
 decrease when constraints are added, so re-relaxation can start from
 the previous solution instead of from scratch — warm-started
 Bellman-Ford converges in as many synchronous rounds as the new
-constraints' influence cone is deep, usually one or two.  With numpy
-the rounds themselves vectorise: arcs are pre-sorted by target once
-and each round is a gather + ``minimum.reduceat`` + scatter.  Either
-way a round still updating after |V| rounds is the classic negative-
-cycle certificate.
+constraints' influence cone is deep, usually one or two.  On systems
+of at least ``_NUMPY_MIN_ARCS`` arcs the rounds themselves vectorise:
+arcs are pre-sorted by target once and each round is a gather +
+``minimum.reduceat`` + scatter.  Either way a round still updating
+after |V| rounds is the classic negative-cycle certificate.
 """
 
 from __future__ import annotations
@@ -24,17 +24,14 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
+import numpy as _np
+
 from .. import obs
 from ..graph.retiming_graph import HOST
-from .compiled_graph import HAVE_NUMPY, CompiledGraph
+from .compiled_graph import CompiledGraph
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a retime<->kernels cycle
     from ..retime.constraints import DifferenceSystem
-
-if HAVE_NUMPY:  # pragma: no branch - container ships numpy
-    import numpy as _np
-else:  # pragma: no cover - exercised via the forced-list tests
-    _np = None
 
 #: Below this arc count the numpy round overhead beats its win.
 _NUMPY_MIN_ARCS = 192
@@ -197,7 +194,7 @@ class CompiledSystem:
             return None
         if self.dist is not None and not self._dirty:
             return self.dist
-        if _np is not None and len(self.arc_b) >= _NUMPY_MIN_ARCS:
+        if len(self.arc_b) >= _NUMPY_MIN_ARCS:
             result = self._solve_vectorized()
         elif self.dist is not None:
             result = self._solve_warm_list()

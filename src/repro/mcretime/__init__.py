@@ -12,7 +12,7 @@ Public surface:
 
 from .bounds import BoundsError, BoundsResult, compute_bounds
 from .classes import Classifier, RegisterClass
-from .engine import MCRetimeResult, intern_work_graph, mc_retime
+from .engine import MCRetimeResult, mc_retime
 from .relocate import (
     JustificationConflict,
     RelocationError,
@@ -47,7 +47,6 @@ __all__ = [
     "merge_shareable_registers",
     "implied_value",
     "justify_pins",
-    "intern_work_graph",
     "mc_retime",
     "relocate",
     "report_from_result",

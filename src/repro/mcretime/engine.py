@@ -207,30 +207,6 @@ def solve_and_relocate(
                     work_bounds[gate_name] = (max(lo, done), hi)
 
 
-def intern_work_graph(
-    circuit: Circuit,
-    delay_model: DelayModel = UNIT_DELAY,
-    semantic_classes: bool = True,
-):
-    """Build the sharing-transformed work graph for *circuit*.
-
-    This is exactly the deterministic, config-independent prefix of
-    :func:`mc_retime` (build → bounds → sharing): the graph whose CSR
-    snapshot the hot solvers compile.  The serving layer runs it once
-    per design, packs the compiled snapshot into shared memory
-    (:mod:`repro.service.interning`), and workers seed it back via
-    :func:`repro.kernels.seed_intern` — the two call sites MUST stay in
-    lockstep or seeded solves would diverge from unseeded ones.
-    """
-    classifier = Classifier(circuit, semantic=semantic_classes)
-    build = build_mcgraph(circuit, delay_model, classifier.classify)
-    bounds = compute_bounds(build.graph)
-    transform = apply_sharing_transform(
-        build.graph, bounds.bounds, bounds.backward_graph
-    )
-    return transform.graph
-
-
 def mc_retime(
     circuit: Circuit,
     delay_model: DelayModel = UNIT_DELAY,
@@ -239,7 +215,6 @@ def mc_retime(
     semantic_classes: bool = True,
     max_conflict_resolves: int = 25,
     verify_resets: bool = True,
-    intern_key: str | None = None,
     explain: bool = False,
 ) -> MCRetimeResult:
     """Run multiple-class retiming on *circuit* (non-destructive).
@@ -256,11 +231,6 @@ def mc_retime(
         max_conflict_resolves: bound on conflict-driven re-solves.
         verify_resets: double-check every recorded reset requirement by
             forward implication after relocation.
-        intern_key: tag the sharing-transformed work graph with this
-            key so :func:`repro.kernels.compile_graph` can return a
-            pre-interned snapshot (see :func:`intern_work_graph` and
-            :mod:`repro.service.interning`).  Results are bit-identical
-            with or without a seed.
         explain: attach a certificate-backed explanation of the result
             (:mod:`repro.obs.explain`) under ``result.explanation``.
             Extraction is entirely post-hoc — the solving phases are
@@ -287,8 +257,6 @@ def mc_retime(
         )
         work_graph = transform.graph
         work_bounds = dict(transform.bounds)
-        if intern_key is not None:
-            work_graph.intern_key = f"{intern_key}|work"
     timings["sharing"] = sp.duration
 
     period_before = clock_period(graph)

@@ -86,6 +86,7 @@ from .slo import (
     SLOEngine,
     check_records,
     evaluate,
+    percentile,
     reevaluate,
     render_status,
 )
@@ -154,6 +155,7 @@ __all__ = [
     "job_trace",
     "jsonl_errors",
     "load_events",
+    "percentile",
     "profile_block",
     "record_errors",
     "record_from_tracer",

@@ -83,17 +83,24 @@ class SLOConfig:
         }
 
 
-def _percentile(values: list[float], p: float) -> float:
-    if not values:
+def percentile(ordered: list[float], p: float) -> float:
+    """The *p*-th percentile (0–100, clamped) of the sorted *ordered*.
+
+    Linear interpolation between adjacent order statistics (the
+    "inclusive"/``numpy.percentile`` definition): with *n* values the
+    fractional rank is ``(n - 1) * p / 100`` and the result blends the
+    two neighbouring values.  Nearest-rank jumps a full sample width
+    whenever an observation lands, which makes p50/p95 jitter badly at
+    small sample counts; interpolation moves smoothly.  0.0 when empty.
+    """
+    if not ordered:
         return 0.0
-    ordered = sorted(values)
-    rank = p / 100.0 * (len(ordered) - 1)
-    lo = math.floor(rank)
-    hi = math.ceil(rank)
-    if lo == hi:
-        return ordered[lo]
+    rank = max(0.0, min(1.0, p / 100.0)) * (len(ordered) - 1)
+    lo = int(rank)
     frac = rank - lo
-    return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+    if frac == 0.0 or lo + 1 >= len(ordered):
+        return ordered[lo]
+    return ordered[lo] + (ordered[lo + 1] - ordered[lo]) * frac
 
 
 @dataclass
@@ -143,7 +150,7 @@ class SLOEngine:
         latencies = [v for _, v in self._latencies]
         outcomes = [ok for _, ok in self._outcomes]
         arrivals = [shed for _, shed in self._arrivals]
-        p95 = _percentile(latencies, 95.0)
+        p95 = percentile(sorted(latencies), 95.0)
         error_rate = (
             outcomes.count(False) / len(outcomes) if outcomes else 0.0
         )

@@ -34,7 +34,7 @@ merged end record last) and exports to Chrome ``trace_event`` JSON with
 one named process track per pid.
 
 The critical-path analyzer (:func:`critical_path`) attributes each
-request's wall time to **queue / intern+attach / solve / respond** —
+request's wall time to **queue / intern / solve / respond** —
 the per-phase breakdown ``mcretime report --critical-path`` prints.
 """
 
@@ -413,11 +413,6 @@ def request_timelines(
     return out
 
 
-#: span names attributed to the intern+attach phase (worker-side design
-#: resolution: shm attach, unpack, parse, kernel seeding)
-_INTERN_SPANS = ("worker.resolve", "service.intern.attach", "service.intern")
-
-
 def critical_path(
     stitched: dict[str, list[dict[str, Any]]]
 ) -> dict[str, Any]:
@@ -426,8 +421,8 @@ def critical_path(
     Phases, per request:
 
     * **queue** — the admission-queue wait (``request.queue``);
-    * **intern** — worker-side design resolution: shm attach + parse
-      (``worker.resolve`` and the ``service.intern*`` spans under it);
+    * **intern** — worker-side design resolution: rebuilding the job
+      and parsing its netlist (``worker.resolve``);
     * **solve** — the flow execution proper (``job.execute``);
     * **respond** — everything else: dispatch transit, result
       serialisation and shipping, front-end bookkeeping (the remainder
@@ -445,15 +440,7 @@ def critical_path(
             continue
         total = sum(s["dur"] for s in roots)
         queue = sum(s["dur"] for s in spans if s["name"] == "request.queue")
-        # the intern spans nest (worker.resolve wraps service.intern.attach);
-        # count only the outermost to avoid double-attribution
-        intern_spans = [s for s in spans if s["name"] in _INTERN_SPANS]
-        intern_ids = {s["id"] for s in intern_spans}
-        intern = sum(
-            s["dur"]
-            for s in intern_spans
-            if int(s.get("parent", 0)) not in intern_ids
-        )
+        intern = sum(s["dur"] for s in spans if s["name"] == "worker.resolve")
         solve = sum(s["dur"] for s in spans if s["name"] == "job.execute")
         respond = max(0.0, total - queue - intern - solve)
         rows.append(
@@ -479,7 +466,7 @@ def render_critical_path(analysis: dict[str, Any]) -> str:
     summed = analysis["sum"]
     lines = [
         f"critical path over {len(rows)} request(s) "
-        "(queue / intern+attach / solve / respond):",
+        "(queue / intern / solve / respond):",
         f"  {'request':<18} {'total':>9} {'queue':>9} {'intern':>9} "
         f"{'solve':>9} {'respond':>9}",
     ]

@@ -59,6 +59,21 @@ class PipelineResult:
     def speedup(self) -> float:
         return self.period_before / max(self.period_after, 1e-12)
 
+    def report(self) -> dict[str, object]:
+        """The transform economics as served (``metrics["transform"]``)."""
+        return {
+            "kind": "pipeline",
+            "stages": self.stages,
+            "registers_inserted": self.registers_inserted,
+            "period_before": self.period_before,
+            "period_after": self.period_after,
+            "lower_bound": self.lower_bound,
+            "balance_slack": self.balance_slack,
+            "speedup": self.speedup,
+            "classes_before": self.classes_before,
+            "classes_after": self.classes_after,
+        }
+
 
 @dataclass
 class CSlowResult:
@@ -93,6 +108,23 @@ class CSlowResult:
     def thread_slowdown(self) -> float:
         """Per-thread latency multiplier (``C * P1 / P0``)."""
         return self.thread_period / max(self.period_before, 1e-12)
+
+    def report(self) -> dict[str, object]:
+        """The transform economics as served (``metrics["transform"]``)."""
+        return {
+            "kind": "cslow",
+            "factor": self.factor,
+            "registers_replicated": self.registers_replicated,
+            "enables_folded": self.enables_folded,
+            "sync_resets_folded": self.sync_resets_folded,
+            "async_resets_folded": self.async_resets_folded,
+            "period_before": self.period_before,
+            "period_after": self.period_after,
+            "thread_period": self.thread_period,
+            "throughput_gain": self.throughput_gain,
+            "classes_before": self.classes_before,
+            "classes_after": self.classes_after,
+        }
 
 
 def pipeline_retime(

@@ -11,8 +11,6 @@ into a servable, fault-tolerant batch engine:
   multiprocessing pool with per-job timeouts, bounded retries, and
   bounded admission (:mod:`repro.service.pool` /
   :mod:`repro.service.sharding`);
-* :class:`InternRegistry` — refcounted shared-memory design interning
-  for the scale-out dispatch path (:mod:`repro.service.interning`);
 * :class:`MetricsRegistry` — Prometheus-exportable counters and
   histograms (:mod:`repro.service.metrics`);
 * :class:`RetimeService` — the façade combining all of the above
@@ -27,15 +25,14 @@ See ``docs/SERVICE.md`` for the API and failure-semantics reference.
 from .cache import ResultCache
 from .client import RetimeClient, ServiceError, ServiceOverloadedError
 from .engine import RetimeService
-from .interning import HAVE_SHM, InternRegistry, design_fingerprint, design_ref
 from .jobs import (
     JOB_FLOWS,
     JOB_TRANSFORMS,
     JobFailure,
     JobResult,
     RetimeJob,
+    design_fingerprint,
     execute_job,
-    resolve_payload,
     run_payload,
 )
 from .metrics import Counter, Histogram, MetricsRegistry
@@ -44,14 +41,12 @@ from .server import AsyncRetimeServer, make_server, serve_forever
 from .sharding import HashRing
 
 __all__ = [
-    "HAVE_SHM",
     "JOB_FLOWS",
     "JOB_TRANSFORMS",
     "AsyncRetimeServer",
     "Counter",
     "HashRing",
     "Histogram",
-    "InternRegistry",
     "JobFailure",
     "JobResult",
     "MetricsRegistry",
@@ -64,10 +59,8 @@ __all__ = [
     "ServiceError",
     "ServiceOverloadedError",
     "design_fingerprint",
-    "design_ref",
     "execute_job",
     "make_server",
-    "resolve_payload",
     "run_payload",
     "serve_forever",
 ]

@@ -33,19 +33,9 @@ import time
 from pathlib import Path
 
 from .. import __version__, obs
-from ..mcretime import intern_work_graph
-from ..kernels import compile_graph
-from ..netlist import read_blif
 from .cache import ResultCache
 from .client import ServiceOverloadedError
-from .interning import (
-    HAVE_SHM,
-    InternRegistry,
-    design_fingerprint,
-    design_ref,
-    warm_local,
-)
-from .jobs import _DELAY_MODELS, JobResult, RetimeJob
+from .jobs import JobResult, RetimeJob, design_fingerprint
 from .metrics import MetricsRegistry
 from .pool import PoolSaturatedError, RetimePool
 
@@ -61,18 +51,13 @@ _REQ_DISPATCH_ID = 4
 class RetimeService:
     """Submit/await retiming jobs against a pool with a result cache.
 
-    With ``scaleout`` enabled (the default wherever shared memory and
-    numpy are available), admission interns each design once — the
-    canonical BLIF text plus a pre-compiled work-graph CSR snapshot go
-    into a refcounted ``multiprocessing.shared_memory`` segment — and
-    dispatched jobs ship a design reference instead of the netlist.
-    The consistent-hash ring routes every job for one design to the
-    worker already holding its parsed circuit and attached segment,
+    Every dispatch ships the job dict, netlist text included.  The
+    consistent-hash ring routes every job for one design (by its
+    design fingerprint; ECO edits by their ``base_key``) to the worker
+    already holding its parsed circuit and warm ECO state, and
     ``max_pending`` bounds the admission queue (overflow raises
     :class:`~repro.service.client.ServiceOverloadedError`, surfaced
-    over HTTP as 429 + ``Retry-After``), and ``preload`` interns
-    designs *before* the workers fork so they inherit the warm caches
-    copy-on-write.
+    over HTTP as 429 + ``Retry-After``).
     """
 
     def __init__(
@@ -84,8 +69,6 @@ class RetimeService:
         max_retries: int = 2,
         retry_backoff: float = 0.5,
         max_pending: int | None = None,
-        scaleout: bool | None = None,
-        preload: list[str | Path] | None = None,
         metrics: MetricsRegistry | None = None,
         trace_dir: str | Path | None = None,
         ledger: str | Path | None = None,
@@ -236,21 +219,6 @@ class RetimeService:
 
         self.cache = ResultCache(cache_dir, memory_size=cache_memory)
 
-        #: shared-memory interning is on by default wherever available;
-        #: ``scaleout=False`` forces the legacy ship-the-netlist path
-        self.scaleout = HAVE_SHM if scaleout is None else (
-            bool(scaleout) and HAVE_SHM
-        )
-        self.intern: InternRegistry | None = (
-            InternRegistry() if self.scaleout else None
-        )
-        self._intern_lock = threading.Lock()
-        if self.scaleout and preload:
-            # intern before the workers fork: they inherit the parsed
-            # circuits and compiled seeds copy-on-write
-            for path in preload:
-                self._preload_design(Path(path))
-
         self.pool = RetimePool(
             workers=workers,
             job_timeout=job_timeout,
@@ -272,16 +240,6 @@ class RetimeService:
             "repro_pool_max_pending",
             "Admission queue bound (0 = unbounded)",
         ).set(float(max_pending or 0))
-        m.gauge(
-            "repro_interned_designs",
-            "Designs live in the shared-memory intern registry",
-        ).set_function(lambda: len(self.intern) if self.intern else 0)
-        m.gauge(
-            "repro_intern_bytes",
-            "Bytes held by shared-memory intern segments",
-        ).set_function(
-            lambda: self.intern.total_bytes() if self.intern else 0
-        )
         shard_depth = m.gauge(
             "repro_shard_queue_depth", "Queued jobs per shard slot"
         )
@@ -369,16 +327,10 @@ class RetimeService:
             self._cache_misses.inc()
             obs.count("service.cache.miss")
 
-            shard_key = job_id
-            payload = None
-            ref = None
-            if self.scaleout:
-                ref, segment, shard_key, payload = self._intern_job(job)
-            if job.base_key is not None:
-                # ECO affinity: route the edit to the worker holding the
-                # *base* design's parsed circuit / interned segment /
-                # warm EcoState, not to the edited content's home shard
-                shard_key = job.base_key
+            # design affinity: every job on one design goes to the
+            # worker holding its parsed circuit; an ECO edit goes to the
+            # worker holding the *base* design's warm EcoState
+            shard_key = design_key if job.base_key is None else job.base_key
             # distributed trace context: the request span tree lives in
             # this process (written at terminal state); the worker nests
             # its root spans under the dispatch span via this stamp
@@ -398,7 +350,6 @@ class RetimeService:
                     "submitted_at": time.time(),
                     "result": None,
                     "options": job.options(),
-                    "intern_ref": ref,
                     "design_key": design_key,
                     "trace": {"submit_wall": submit_wall},
                 }
@@ -408,7 +359,6 @@ class RetimeService:
                         job_id,
                         job,
                         shard_key=shard_key,
-                        payload=payload,
                         trace_ctx=trace_ctx,
                     )
             except PoolSaturatedError as exc:
@@ -417,8 +367,6 @@ class RetimeService:
                 self.slo.observe_shed()
                 with self._lock:
                     self._jobs.pop(job_id, None)
-                if ref is not None and self.intern is not None:
-                    self.intern.release(ref)
                 raise ServiceOverloadedError(
                     429, str(exc), retry_after=self._retry_after()
                 ) from None
@@ -427,50 +375,6 @@ class RetimeService:
                 if record is not None and "trace" in record:
                     record["trace"]["admit_s"] = time.perf_counter() - t0
         return job_id
-
-    def _intern_job(self, job: RetimeJob):
-        """Intern the job's design; returns (ref, segment, shard_key,
-        dispatch payload).  The caller owns one registry pin on *ref*,
-        released when the job reaches a terminal state."""
-        canonical = job.canonical_netlist
-        fingerprint = design_fingerprint(canonical)
-        # only the plain engine flow solves on the design's own work
-        # graph; everything else (mapped synthesis, transforms) ships
-        # text-only under the seedless variant
-        seedable = job.flow == "mcretime" and job.transform is None
-        ref = design_ref(
-            fingerprint,
-            job.resolved_delay_model() if seedable else None,
-            job.semantic_classes if seedable else False,
-        )
-        assert self.intern is not None
-        with self._intern_lock:
-            try:
-                segment = self.intern.acquire(ref)
-            except KeyError:
-                seeds = {}
-                if seedable:
-                    try:
-                        circuit = read_blif(canonical, name_hint=job.name)
-                        model = _DELAY_MODELS[job.resolved_delay_model()]
-                        work = intern_work_graph(
-                            circuit, model, job.semantic_classes
-                        )
-                        seeds[ref] = compile_graph(work)
-                    except Exception:  # noqa: BLE001
-                        # a design whose work graph can't be built still
-                        # dispatches text-only; the worker reproduces the
-                        # error as a structured, non-retried JobFailure
-                        seeds = {}
-                        obs.count("service.intern.seed_error")
-                segment = self.intern.register(ref, canonical, seeds)
-                self.intern.acquire(ref)
-        shipped = job.to_dict()
-        shipped.pop("netlist")
-        shipped["fmt"] = "blif"
-        shipped["output_fmt"] = job.resolved_output_fmt()
-        payload = {"design_ref": ref, "segment": segment, "job": shipped}
-        return ref, segment, fingerprint, payload
 
     def _remember_design(self, job: RetimeJob) -> str:
         """Record the job's canonical netlist under its design
@@ -495,25 +399,6 @@ class RetimeService:
                 self._design_texts.pop(key)
                 self._design_texts[key] = text
         return text
-
-    def _preload_design(self, path: Path) -> None:
-        """Intern one netlist file pre-fork (registry + local caches)."""
-        fmt = "verilog" if path.suffix in (".v", ".sv") else "blif"
-        job = RetimeJob(netlist=path.read_text(), fmt=fmt, name=path.stem)
-        canonical = job.canonical_netlist
-        fingerprint = design_fingerprint(canonical)
-        ref = design_ref(
-            fingerprint, job.resolved_delay_model(), job.semantic_classes
-        )
-        circuit = read_blif(canonical, name_hint=job.name)
-        model = _DELAY_MODELS[job.resolved_delay_model()]
-        seeds = {ref: compile_graph(
-            intern_work_graph(circuit, model, job.semantic_classes)
-        )}
-        assert self.intern is not None
-        self.intern.register(ref, canonical, seeds)
-        warm_local(ref, canonical, circuit=circuit, seeds=seeds)
-        obs.count("service.preload")
 
     def _retry_after(self) -> float:
         """Backpressure hint: expected seconds to drain one queue slot."""
@@ -608,22 +493,8 @@ class RetimeService:
             self._corrupt_synced = seen
             self._cache_corrupt.inc(delta)
 
-    def _release_intern_ref(self, job_id: str) -> None:
-        """Drop the job's design pin once it reaches a terminal state."""
-        if self.intern is None:
-            return
-        with self._lock:
-            record = self._jobs.get(job_id)
-            ref = record.get("intern_ref") if record else None
-            if record is not None:
-                record["intern_ref"] = None
-        if ref is not None:
-            self.intern.release(ref)
-
     def close(self) -> None:
         self.pool.close()
-        if self.intern is not None:
-            self.intern.close()
 
     def __enter__(self) -> "RetimeService":
         return self
@@ -658,7 +529,6 @@ class RetimeService:
                 )
             return
         if kind in ("done", "failed"):
-            self._release_intern_ref(job_id)
             result: JobResult = info["result"]
             with self._lock:
                 record = self._jobs.get(job_id)
@@ -742,7 +612,7 @@ class RetimeService:
 
         * ``request`` (id 1) — submit to terminal state, wall to wall;
         * ``request.admit`` (id 2) — canonicalise, cache consult,
-          intern, shard, pool admission;
+          shard, pool admission;
         * ``request.queue`` (id 3) — admission-queue wait (from the
           pool's ``queued_seconds``), stamped with shard/worker/stolen;
         * ``request.dispatch`` (id 4) — dispatch to completion; the

@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 from .. import obs
@@ -81,6 +81,19 @@ def _parse(netlist: str, fmt: str, name: str) -> Circuit:
     if fmt == "verilog":
         return read_verilog(netlist)
     return read_blif(netlist, name_hint=name)
+
+
+@lru_cache(maxsize=128)
+def _parse_once(netlist: str, fmt: str, name: str) -> Circuit:
+    """A worker's parse cache for the ``mcretime`` flow: the shard ring
+    routes every job on one design to one worker, so a target-period
+    sweep parses the design once.  Callers must not mutate the result."""
+    return _parse(netlist, fmt, name)
+
+
+def design_fingerprint(canonical_text: str) -> str:
+    """Content address of a canonicalised design (SHA-256 hex)."""
+    return hashlib.sha256(canonical_text.encode()).hexdigest()
 
 
 def _emit(circuit: Circuit, fmt: str) -> str:
@@ -242,8 +255,6 @@ class RetimeJob:
         The design-level content address: two sources that differ only
         in whitespace, comments, or syntax variants (``.latch`` vs
         ``.mcff``) — or even in source format — emit identical text.
-        The scale-out serving path interns this text into shared memory
-        once per design (:mod:`repro.service.interning`).
         """
         circuit = _parse(self.netlist, self.fmt, self.name)
         return _emit(circuit, "blif")
@@ -430,7 +441,6 @@ def execute_job(
     *,
     job_id: str | None = None,
     circuit: Circuit | None = None,
-    intern_key: str | None = None,
 ) -> JobResult:
     """Run *job* to completion (worker-side entry point).
 
@@ -441,15 +451,9 @@ def execute_job(
         job: the job to execute.
         job_id: the job's content key, when the submitter already
             computed it — saves the worker a parse + re-emit.
-        circuit: a pre-parsed circuit for ``job.netlist`` (scale-out
-            path: the worker's per-design cache).  The circuit is never
-            mutated, so one parsed instance serves every job touching
-            the design.
-        intern_key: design ref whose pre-compiled work-graph CSR
-            snapshot is seeded in this process
-            (:func:`repro.kernels.seed_intern`); forwarded to
-            :func:`repro.mcretime.mc_retime`.  Results are
-            bit-identical with or without it.
+        circuit: a pre-parsed circuit for ``job.netlist`` (the
+            worker's parse cache).  The circuit is never mutated, so
+            one parsed instance serves every job touching the design.
     """
     if job.flow == "__crash__":
         # simulate a segfault/OOM kill: bypass all Python cleanup
@@ -462,7 +466,7 @@ def execute_job(
     key = job_id or job.canonical_key
     t0 = time.perf_counter()
     with obs.job_trace(key) as tracer:
-        metrics = _run_flow(job, key, circuit=circuit, intern_key=intern_key)
+        metrics = _run_flow(job, key, circuit=circuit)
         if tracer is not None:
             metrics["obs"] = tracer.snapshot()
     out_circuit = metrics.pop("_circuit")
@@ -477,53 +481,23 @@ def execute_job(
     )
 
 
-def resolve_payload(payload: dict) -> tuple[RetimeJob, dict]:
-    """Rebuild a job from a scale-out dispatch payload (worker side).
-
-    A scale-out payload ships a design reference instead of the netlist
-    text: ``{"design_ref": ref, "segment": name, "job": {fields minus
-    netlist}}``.  The worker resolves the design through its attach-once
-    cache (:func:`repro.service.interning.resolve_design`) and returns
-    the reconstituted job plus the keyword arguments for
-    :func:`execute_job` — a cached parsed circuit and, when the segment
-    carries a compiled work-graph seed for this ref, the intern key.
-
-    The shipped job dict must carry a resolved ``output_fmt``: the
-    reconstituted job's source is always canonical BLIF, so the input
-    format of the original submission is not recoverable here.
-    """
-    from .interning import resolve_design, resolved_circuit
-
-    ref = payload["design_ref"]
-    design = resolve_design(ref, payload.get("segment"))
-    fields = dict(payload["job"])
-    fields["netlist"] = design.text
-    fields["fmt"] = "blif"
-    job = RetimeJob(**fields)
-    kwargs: dict = {}
-    if job.flow == "mcretime" and job.transform is None:
-        kwargs["circuit"] = resolved_circuit(design, job.name)
-        if ref in design.seed_variants:
-            kwargs["intern_key"] = ref
-    return job, kwargs
-
-
 def run_payload(
     job_id: str, payload: dict, trace_ctx: dict | None = None
 ) -> dict:
     """Worker-side dispatch entry: resolve, execute, serialise one job.
 
     This is what :func:`repro.service.pool._worker_main` calls per
-    dispatch item.  It owns the worker's end of the distributed trace:
-    the whole lifetime — payload resolution (shm attach + parse),
-    execution, and response serialisation — runs under one
+    dispatch item; *payload* is the job dict, netlist text included.
+    It owns the worker's end of the distributed trace: the whole
+    lifetime — payload resolution (rebuild + parse), execution, and
+    response serialisation — runs under one
     :func:`repro.obs.job_trace` stamped with *trace_ctx* (the
     ``{"trace_id", "parent_span", "parent_pid"}`` context minted by the
     front-end), so the stitcher can nest this process's spans under the
     request span that dispatched the job:
 
-    * ``worker.resolve`` — design resolution: shared-memory attach,
-      unpack, parse-or-cache (wraps ``service.intern.attach``);
+    * ``worker.resolve`` — rebuild the job and, for the plain
+      ``mcretime`` flow, parse its netlist through :func:`_parse_once`;
     * ``job.execute`` — the flow proper (inside :func:`execute_job`,
       whose inner ``job_trace`` joins this outer tracer);
     * ``worker.respond`` — result serialisation for the return pipe.
@@ -534,11 +508,11 @@ def run_payload(
     """
     with obs.job_trace(job_id, parent=trace_ctx) as tracer:
         with obs.span("worker.resolve", job=job_id[:16]):
-            if "design_ref" in payload:
-                job, kwargs = resolve_payload(payload)
-            else:
-                job, kwargs = RetimeJob.from_dict(payload), {}
-        result = execute_job(job, job_id=job_id, **kwargs)
+            job = RetimeJob.from_dict(payload)
+            circuit = None
+            if job.flow == "mcretime" and job.transform is None:
+                circuit = _parse_once(job.netlist, job.fmt, job.name)
+        result = execute_job(job, job_id=job_id, circuit=circuit)
         with obs.span("worker.respond", job=job_id[:16]):
             data = result.to_dict()
         if tracer is not None:
@@ -546,12 +520,7 @@ def run_payload(
     return data
 
 
-def _run_flow(
-    job: RetimeJob,
-    key: str,
-    circuit: Circuit | None = None,
-    intern_key: str | None = None,
-) -> dict:
+def _run_flow(job: RetimeJob, key: str, circuit: Circuit | None = None) -> dict:
     """Execute the job's flow; returns its metrics dict (the output
     circuit rides along under the ``_circuit`` key)."""
     with obs.span("job.execute", flow=job.flow, job=key[:16]):
@@ -559,7 +528,7 @@ def _run_flow(
             circuit = _parse(job.netlist, job.fmt, job.name)
         check_circuit(circuit)
         model = _DELAY_MODELS[job.resolved_delay_model()]
-        metrics = _dispatch_flow(job, circuit, model, intern_key=intern_key)
+        metrics = _dispatch_flow(job, circuit, model)
         if job.verify:
             _verify_output(job, circuit, metrics)
     return metrics
@@ -604,37 +573,6 @@ def _verify_output(job: RetimeJob, circuit: Circuit, metrics: dict) -> None:
         raise VerificationError(check)
 
 
-def _transform_report(result) -> dict[str, object]:
-    """Transform economics of a Pipeline/CSlowResult (engine level)."""
-    if hasattr(result, "stages"):
-        return {
-            "kind": "pipeline",
-            "stages": result.stages,
-            "registers_inserted": result.registers_inserted,
-            "period_before": result.period_before,
-            "period_after": result.period_after,
-            "lower_bound": result.lower_bound,
-            "balance_slack": result.balance_slack,
-            "speedup": result.speedup,
-            "classes_before": result.classes_before,
-            "classes_after": result.classes_after,
-        }
-    return {
-        "kind": "cslow",
-        "factor": result.factor,
-        "registers_replicated": result.registers_replicated,
-        "enables_folded": result.enables_folded,
-        "sync_resets_folded": result.sync_resets_folded,
-        "async_resets_folded": result.async_resets_folded,
-        "period_before": result.period_before,
-        "period_after": result.period_after,
-        "thread_period": result.thread_period,
-        "throughput_gain": result.throughput_gain,
-        "classes_before": result.classes_before,
-        "classes_after": result.classes_after,
-    }
-
-
 def _dispatch_transform(job: RetimeJob, circuit: Circuit, model) -> dict:
     """Run a pipeline/cslow job (engine-level or mapped flow)."""
     if job.flow == "mcretime":
@@ -664,7 +602,7 @@ def _dispatch_transform(job: RetimeJob, circuit: Circuit, model) -> dict:
             "baseline": _measure(circuit, model),
             "final": {**_measure(out_circuit, model), "accepted": True},
             "retime": _retime_metrics(result.retime),
-            "transform": _transform_report(result),
+            "transform": result.report(),
             "timings": dict(result.timings),
         }
         if result.retime.explanation is not None:
@@ -689,9 +627,7 @@ def _dispatch_transform(job: RetimeJob, circuit: Circuit, model) -> dict:
     return metrics
 
 
-def _dispatch_flow(
-    job: RetimeJob, circuit: Circuit, model, intern_key: str | None = None
-) -> dict:
+def _dispatch_flow(job: RetimeJob, circuit: Circuit, model) -> dict:
     if job.transform is not None:
         return _dispatch_transform(job, circuit, model)
     if job.flow == "mcretime":
@@ -722,7 +658,6 @@ def _dispatch_flow(
                 target_period=job.target_period,
                 objective=job.objective,
                 semantic_classes=job.semantic_classes,
-                intern_key=intern_key,
                 explain=job.explain,
             )
         out_circuit = result.circuit

@@ -30,6 +30,8 @@ import threading
 from bisect import bisect_left, insort
 from typing import Callable
 
+from ..obs import percentile
+
 #: default latency buckets (seconds) — tuned for retiming jobs that run
 #: milliseconds on toy designs up to minutes at paper scale
 DEFAULT_BUCKETS = (
@@ -271,26 +273,10 @@ class Histogram:
             return self._sums.get(_label_key(labels), 0.0)
 
     def percentile(self, p: float, **labels: str) -> float:
-        """The *p*-th percentile (0–100) of the recorded samples.
-
-        Linear interpolation between adjacent reservoir samples (the
-        "inclusive"/``numpy.percentile`` definition): with *n* samples
-        the fractional rank is ``(n - 1) * p / 100`` and the result
-        blends the two neighbouring order statistics.  Nearest-rank
-        jumps a full sample width whenever an observation lands, which
-        makes p50/p95 jitter badly at small sample counts; interpolation
-        moves smoothly.
-        """
+        """The *p*-th percentile (0–100) of the recorded samples
+        (:func:`repro.obs.percentile` over the sorted reservoir)."""
         with self._lock:
-            samples = self._samples.get(_label_key(labels), [])
-            if not samples:
-                return 0.0
-            rank = max(0.0, min(1.0, p / 100.0)) * (len(samples) - 1)
-            lo = int(rank)
-            frac = rank - lo
-            if frac == 0.0 or lo + 1 >= len(samples):
-                return samples[lo]
-            return samples[lo] + (samples[lo + 1] - samples[lo]) * frac
+            return percentile(self._samples.get(_label_key(labels), []), p)
 
     def render(self) -> list[str]:
         lines = [

@@ -15,7 +15,7 @@ Design points:
   consistent-hash ring (:class:`~repro.service.sharding.HashRing`)
   assigns to shard *i*; a job's ``shard_key`` (the design fingerprint)
   routes all work on one design to the worker that already holds its
-  parsed circuit and attached intern segment.  A crashed worker is
+  parsed circuit and warm ECO state.  A crashed worker is
   respawned *into the same slot*, so churn doesn't reshuffle the
   keyspace.  An idle worker with an empty home queue steals from the
   deepest backlog — affinity is a fast path, not a straitjacket.
@@ -90,12 +90,9 @@ def _worker_main(task_q, result_q, env=None, telemetry_q=None) -> None:
     telemetry bus — span deltas stream back to the supervisor while the
     job runs (see :mod:`repro.obs.bus`).
 
-    Payloads come in two shapes: a legacy full job dict (carries the
-    ``netlist`` text) and a scale-out reference
-    (``{"design_ref", "segment", "job"}``) resolved through the
-    worker's shared-memory design cache — see
-    :func:`~repro.service.jobs.resolve_payload`.  Dispatch items are
-    ``(job_id, attempt, payload, trace_ctx)`` tuples; the trace context
+    Dispatch items are ``(job_id, attempt, payload, trace_ctx)``
+    tuples, the payload being the job dict (netlist text included; see
+    :func:`~repro.service.jobs.run_payload`); the trace context
     (minted by the front-end) is stamped into the worker's trace so the
     stitcher can join the two processes' timelines.
     """
@@ -109,11 +106,7 @@ def _worker_main(task_q, result_q, env=None, telemetry_q=None) -> None:
         item = task_q.get()
         if item is None:
             return
-        if len(item) == 4:
-            job_id, attempt, payload, trace_ctx = item
-        else:  # legacy 3-tuple dispatch
-            job_id, attempt, payload = item
-            trace_ctx = None
+        job_id, attempt, payload, trace_ctx = item
         try:
             data = run_payload(job_id, payload, trace_ctx=trace_ctx)
             result_q.put(("done", os.getpid(), job_id, attempt, data))
@@ -132,8 +125,6 @@ class _Entry:
 
     job: RetimeJob
     shard: int = 0
-    #: scale-out dispatch payload; ``None`` ships the full job dict
-    payload: dict | None = None
     #: propagated trace context minted by the front-end, shipped with
     #: the dispatch so the worker can stamp (pid, parent_span)
     trace_ctx: dict | None = None
@@ -298,18 +289,16 @@ class RetimePool:
         job_id: str,
         job: RetimeJob,
         shard_key: str | None = None,
-        payload: dict | None = None,
         trace_ctx: dict | None = None,
     ) -> int:
         """Queue *job* under *job_id*; returns its home shard.
 
         In-flight ids coalesce.  *shard_key* (typically the design
         fingerprint) routes the job; it defaults to the job id, which
-        still spreads uniformly but loses design affinity.  *payload*
-        replaces the dispatched job dict with a scale-out design
-        reference.  *trace_ctx* (``{"trace_id", "parent_span",
-        "parent_pid"}``) rides with the dispatch so the worker's trace
-        nests under the front-end's request span.  Raises
+        still spreads uniformly but loses design affinity.  *trace_ctx*
+        (``{"trace_id", "parent_span", "parent_pid"}``) rides with the
+        dispatch so the worker's trace nests under the front-end's
+        request span.  Raises
         :class:`PoolSaturatedError` when the admission queue is at
         ``max_pending``.
         """
@@ -325,9 +314,7 @@ class RetimePool:
                 and self._pending_total >= self.max_pending
             ):
                 raise PoolSaturatedError(self._pending_total, self.max_pending)
-            entry = _Entry(
-                job=job, shard=shard, payload=payload, trace_ctx=trace_ctx
-            )
+            entry = _Entry(job=job, shard=shard, trace_ctx=trace_ctx)
             entry.attempts = 1
             self._entries[job_id] = entry
             self._queues[shard].append((job_id, 1))
@@ -481,11 +468,7 @@ class RetimePool:
                     continue  # stale queue entry; pick again
                 entry.state = "running"
                 entry.attempts = attempt
-                payload = (
-                    entry.payload
-                    if entry.payload is not None
-                    else entry.job.to_dict()
-                )
+                payload = entry.job.to_dict()
                 queued_s = time.monotonic() - entry.submitted_at
                 worker.held = (job_id, attempt, time.monotonic())
                 stats = self._shard_stats[worker.slot]
@@ -645,7 +628,7 @@ class RetimePool:
                 if entry is None or entry.event.is_set():
                     continue
                 # retries bypass the admission bound: the job was
-                # already admitted once and holds a design pin
+                # already admitted once
                 self._queues[entry.shard].append((job_id, entry.attempts))
                 self._pending_total += 1
             self._wake.set()

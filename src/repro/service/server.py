@@ -261,6 +261,12 @@ class AsyncRetimeServer:
 
     async def _handle_connection(self, reader, writer) -> None:
         try:
+            # asyncio sets TCP_NODELAY only on sockets created with
+            # proto=IPPROTO_TCP, and create_server's has proto 0: without
+            # this every response waits ~40 ms on Nagle + delayed ACK
+            writer.get_extra_info("socket").setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
+            )
             while True:
                 request = await self._read_request(reader)
                 if request is None:
@@ -403,7 +409,6 @@ class AsyncRetimeServer:
                 {
                     "status": "ok",
                     "workers": service.pool.workers,
-                    "scaleout": service.scaleout,
                     "queue_depth": service.pool.queue_depth(),
                     "jobs": service.job_counts(),
                     "cache_hit_rate": round(service.cache_hit_rate(), 4),

@@ -871,30 +871,9 @@ def _transform_main(kind: str, argv: list[str]) -> int:
                 out, retime = flow.circuit, flow.retime
                 report = flow.transform
                 verify_check = flow.verify
-            elif is_pipe:
-                res = pipeline_retime(
-                    circuit,
-                    amount,
-                    model,
-                    objective=args.objective,
-                    target_period=args.target_period,
-                    semantic_classes=not args.syntactic_classes,
-                )
-                out, retime = res.circuit, res.retime
-                report = {
-                    "kind": "pipeline",
-                    "stages": res.stages,
-                    "registers_inserted": res.registers_inserted,
-                    "period_before": res.period_before,
-                    "period_after": res.period_after,
-                    "lower_bound": res.lower_bound,
-                    "balance_slack": res.balance_slack,
-                    "speedup": res.speedup,
-                    "classes_before": res.classes_before,
-                    "classes_after": res.classes_after,
-                }
             else:
-                res = cslow_retime(
+                retime_fn = pipeline_retime if is_pipe else cslow_retime
+                res = retime_fn(
                     circuit,
                     amount,
                     model,
@@ -903,20 +882,7 @@ def _transform_main(kind: str, argv: list[str]) -> int:
                     semantic_classes=not args.syntactic_classes,
                 )
                 out, retime = res.circuit, res.retime
-                report = {
-                    "kind": "cslow",
-                    "factor": res.factor,
-                    "registers_replicated": res.registers_replicated,
-                    "enables_folded": res.enables_folded,
-                    "sync_resets_folded": res.sync_resets_folded,
-                    "async_resets_folded": res.async_resets_folded,
-                    "period_before": res.period_before,
-                    "period_after": res.period_after,
-                    "thread_period": res.thread_period,
-                    "throughput_gain": res.throughput_gain,
-                    "classes_before": res.classes_before,
-                    "classes_after": res.classes_after,
-                }
+                report = res.report()
             if args.verify and not args.map:
                 if is_pipe:
                     verify_check = check_pipeline(
@@ -1269,7 +1235,7 @@ def _report_main(argv: list[str]) -> int:
     parser.add_argument(
         "--critical-path", action="store_true",
         help="over stitched traces: attribute each request's wall time to "
-        "queue / intern+attach / solve / respond and print the table",
+        "queue / intern / solve / respond and print the table",
     )
     parser.add_argument(
         "--job", default=None, metavar="ID",
@@ -1647,17 +1613,6 @@ def _serve_main(argv: list[str]) -> int:
         "(default: unbounded)",
     )
     parser.add_argument(
-        "--no-scaleout", action="store_true",
-        help="disable shared-memory design interning and ship full "
-        "netlists to workers (legacy dispatch path)",
-    )
-    parser.add_argument(
-        "--preload", type=Path, action="append", default=[],
-        metavar="NETLIST",
-        help="intern this design before the pool forks so workers "
-        "inherit it copy-on-write (repeatable)",
-    )
-    parser.add_argument(
         "--trace-dir", type=Path, default=None, metavar="DIR",
         help="distributed tracing: workers write per-job JSONL traces "
         "here and the front-end writes one request log per job; stitch "
@@ -1692,8 +1647,6 @@ def _serve_main(argv: list[str]) -> int:
         max_retries=args.retries,
         ledger=args.ledger,
         max_pending=args.max_pending,
-        scaleout=False if args.no_scaleout else None,
-        preload=args.preload or None,
         trace_dir=args.trace_dir,
         slo=args.slo_config,
         telemetry=not args.no_telemetry,
@@ -1702,7 +1655,6 @@ def _serve_main(argv: list[str]) -> int:
     print(
         f"mcretime service on http://{args.host}:{args.port} "
         f"({service.pool.workers} workers"
-        + (", scale-out" if service.scaleout else ", legacy dispatch")
         + (f", max-pending {args.max_pending}" if args.max_pending else "")
         + (f", cache {args.cache_dir}" if args.cache_dir else "")
         + (f", ledger {args.ledger}" if args.ledger else "")

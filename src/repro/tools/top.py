@@ -92,9 +92,7 @@ def render_frame(client: Any, url: str) -> str:
 
     lines = [
         f"mcretime top — {url}  "
-        f"(workers {health.get('workers', '?')}, "
-        f"{'scale-out' if health.get('scaleout') else 'legacy dispatch'}, "
-        f"up {uptime:.0f}s)",
+        f"(workers {health.get('workers', '?')}, up {uptime:.0f}s)",
         "",
         f"queue   : {depth} pending"
         + (f" / {int(max_pending)} max" if max_pending else "")

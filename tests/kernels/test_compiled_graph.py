@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.graph import HOST
-from repro.kernels import HAVE_NUMPY, CompiledGraph, compile_graph
+from repro.kernels import CompiledGraph, compile_graph
 from tests.retime.helpers import correlator, random_graph
 
 
@@ -74,8 +74,6 @@ def test_graph_compiled_method():
 
 
 def test_numpy_mirrors_match_lists():
-    if not HAVE_NUMPY:
-        return
     g = random_graph(5, n_vertices=12, n_edges=30)
     cg = compile_graph(g)
     assert cg.eu_np.tolist() == cg.eu

@@ -153,14 +153,12 @@ def test_list_fallback_matches_vectorized(seed, monkeypatch):
         return stages
 
     default = run()
-    monkeypatch.setattr(diffsys_module, "_np", None)
+    monkeypatch.setattr(diffsys_module, "_NUMPY_MIN_ARCS", 10**9)
     forced_list = run()
     assert forced_list == default
-    monkeypatch.undo()
-    if diffsys_module._np is not None:
-        monkeypatch.setattr(diffsys_module, "_NUMPY_MIN_ARCS", 1)
-        forced_vec = run()
-        assert forced_vec == default
+    monkeypatch.setattr(diffsys_module, "_NUMPY_MIN_ARCS", 1)
+    forced_vec = run()
+    assert forced_vec == default
 
 
 def test_from_system_matches_dict_on_real_graph():

@@ -6,7 +6,14 @@ import pytest
 
 from repro.mcretime import mc_retime
 from repro.netlist import read_blif, write_blif
-from repro.service import JobFailure, JobResult, RetimeJob, execute_job
+from repro.service import (
+    JobFailure,
+    JobResult,
+    RetimeJob,
+    execute_job,
+    run_payload,
+)
+from repro.service import jobs as jobs_module
 from repro.timing import UNIT_DELAY
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -132,3 +139,24 @@ class TestExecuteJob:
         result = execute_job(RetimeJob(netlist=TINY, output_fmt="verilog"))
         assert result.output_fmt == "verilog"
         assert "module" in result.output
+
+
+class TestRunPayload:
+    def test_mcretime_job_parses_once(self):
+        """The worker parse cache serves the second dispatch of a design."""
+        jobs_module._parse_once.cache_clear()
+        job = RetimeJob(netlist=TINY, name="tiny")
+        first = run_payload(job.canonical_key, job.to_dict())
+        second = run_payload(job.canonical_key, job.to_dict())
+        info = jobs_module._parse_once.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first["status"] == second["status"] == "done"
+        assert first["output"] == second["output"]
+
+    def test_transform_job_bypasses_the_cache(self):
+        jobs_module._parse_once.cache_clear()
+        job = RetimeJob(netlist=TINY, name="tiny", transform="pipeline")
+        data = run_payload(job.canonical_key, job.to_dict())
+        assert data["status"] == "done"
+        info = jobs_module._parse_once.cache_info()
+        assert (info.misses, info.hits) == (0, 0)

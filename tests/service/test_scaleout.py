@@ -1,7 +1,8 @@
-"""Scale-out dispatch: shard affinity, backpressure, async HTTP front-end."""
+"""Dispatch: hash ring, shard affinity, backpressure, async HTTP front-end."""
 
 import json
 import socket
+import statistics
 import threading
 import time
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.service import (
+    HashRing,
     RetimeClient,
     RetimeJob,
     RetimePool,
@@ -31,6 +33,26 @@ def _spin_until(predicate, timeout=10.0):
         if time.monotonic() > deadline:  # pragma: no cover
             raise AssertionError("condition not reached in time")
         time.sleep(0.01)
+
+
+class TestHashRing:
+    def test_deterministic_and_stable_across_rebuilds(self):
+        keys = [f"design-{i}" for i in range(200)]
+        one, two = HashRing(4), HashRing(4)
+        assert [one.shard(k) for k in keys] == [two.shard(k) for k in keys]
+
+    def test_spread_is_roughly_balanced(self):
+        ring = HashRing(4)
+        keys = [f"fp{i:04x}" for i in range(400)]
+        counts = [0, 0, 0, 0]
+        for key in keys:
+            counts[ring.shard(key)] += 1
+        assert min(counts) > 0
+        assert max(counts) < 0.6 * len(keys)
+
+    def test_single_shard_degenerates_to_zero(self):
+        ring = HashRing(1)
+        assert {ring.shard(f"k{i}") for i in range(32)} == {0}
 
 
 class TestShardAffinity:
@@ -184,6 +206,22 @@ class TestAsyncFrontEnd:
                 data += chunk
         assert b"HTTP/1.1 200 OK" in data
         assert b'"status": "ok"' in data
+
+    def test_keep_alive_round_trip_has_no_nagle_floor(self, async_server):
+        """Responses leave at once: without TCP_NODELAY on the accepted
+        socket each keep-alive round trip waits ~40 ms on Nagle plus
+        the client's delayed ACK."""
+        client = RetimeClient(f"http://127.0.0.1:{async_server}")
+        try:
+            client.healthz()
+            times = []
+            for _ in range(21):
+                t0 = time.perf_counter()
+                client.healthz()
+                times.append(time.perf_counter() - t0)
+        finally:
+            client.close()
+        assert statistics.median(times) < 0.020
 
     def test_stale_client_connection_retries_transparently(self, async_server):
         client = RetimeClient(f"http://127.0.0.1:{async_server}")
