@@ -235,9 +235,9 @@ def _periods(
     Starts from the base's r=0 sweep, patches the edit's delay changes
     in (``extra_seeds`` drives the forward-cone re-sweep), then moves
     to the solved retiming.  The kernel refresh is provably equal to a
-    full sweep, and the full sweep is bit-identical to the dict
-    ``compute_delta`` — so both values equal a cold solve's
-    ``clock_period`` results exactly.
+    full :func:`~repro.kernels.delta_sweep`, the sweep ``clock_period``
+    runs — so both values equal a cold solve's ``clock_period`` results
+    exactly.
     """
     cg = patch_compiled_delays(state.graph_cg, updates)
     zeros = [0] * cg.n

@@ -7,12 +7,10 @@ millions of times.  ``compile_graph`` walks the graph once and produces
 flat integer arrays:
 
 * ``names`` / ``index`` — the vertex interning table (ids follow the
-  graph's vertex insertion order, so kernel iteration order matches the
-  dict sweep :func:`repro.retime.feas.compute_delta` exactly, and
-  results never depend on string hashing);
+  graph's vertex insertion order, so kernel iteration orders, and with
+  them every result, never depend on string hashing);
 * ``eu/ev/ew`` — per-edge source / target / weight arrays in edge
-  *insertion* order (the order ``graph.edges.values()`` yields, which
-  the dict sweep iterates);
+  *insertion* order (the order ``graph.edges.values()`` yields);
 * CSR adjacency (``out_start``/``out_edges`` and ``in_start`` /
   ``in_edges``) for incremental cone traversals.
 
@@ -97,7 +95,7 @@ def compile_graph(graph: RetimingGraph) -> CompiledGraph:
     cg.host = index.get(HOST, -1)
     cg.through_host = graph.combinational_host
 
-    # edge arrays in the same order the dict sweeps iterate
+    # edge arrays in graph edge order
     eu: list[int] = []
     ev: list[int] = []
     ew: list[int] = []

@@ -1,11 +1,12 @@
 """CP/Δ sweeps over a compiled graph, full and incremental.
 
-``delta_sweep`` is the integer-array replica of
-:func:`repro.retime.feas.compute_delta`: identical zero-edge selection
-order, identical Kahn queue discipline, identical argmax tie-breaking,
-identical float arithmetic — so its Δ/pred output is bit-for-bit the
-dict implementation's, and the constraints the lazy loops generate
-from it do not depend on which of the two swept.
+``delta_sweep`` is the clock-period sweep (paper Sec. 2): Δ(v), the
+largest delay of a register-free path ending at v, computed over a
+topological order of the retimed zero-weight subgraph.  Its iteration
+orders are fixed by vertex and edge ids (zero-in lists in edge order, a
+LIFO Kahn queue, strict-greater argmax tie-breaking), so Δ, the
+critical-path predecessors and the topological order are deterministic,
+and so are the constraints the lazy loops generate from them.
 
 ``refresh`` is the incremental mode: given the previous sweep and a new
 retiming that differs on a subset of vertices, it recomputes Δ only in
@@ -94,14 +95,24 @@ class KernelSweep:
             v = pred[v]
         return v
 
+    def path(self, v: int) -> list[int]:
+        """v's critical path (register-free, maximal delay), start first."""
+        pred = self.pred
+        chain = [v]
+        while pred[v] >= 0:
+            v = pred[v]
+            chain.append(v)
+        chain.reverse()
+        return chain
+
 
 def _zero_edges(
     cg: CompiledGraph, r: list[int], through_host: bool
 ) -> list[int]:
     """Indices of zero-retimed-weight edges, in edge order.
 
-    Raises :class:`GraphError` on the first negative retimed weight,
-    matching the dict implementation's error and ordering.
+    Raises :class:`GraphError` on the first negative retimed weight in
+    edge order.
     """
     m = cg.m
     if cg.ew_np is not None and m >= _NUMPY_MIN_EDGES:
@@ -135,17 +146,16 @@ def _zero_structure(
 ) -> tuple[list[int], list[int], list[int]]:
     """Zero-in CSR and Kahn topological order of the zero subgraph.
 
-    Returns ``(zin_start, zin, order)``.  The construction mirrors the
-    dict implementation exactly (edge-order zero-in lists, id-order
-    zero-out build, LIFO Kahn queue) so the order is deterministic and
-    shared between :func:`delta_sweep` and
+    Returns ``(zin_start, zin, order)``.  Edge-order zero-in lists, an
+    id-order zero-out build and a LIFO Kahn queue make the order
+    deterministic; it is shared between :func:`delta_sweep` and
     :meth:`KernelSweep.topo_order`.
     """
     n = cg.n
     eu, ev = cg.eu, cg.ev
     zero = _zero_edges(cg, r, through_host)
 
-    # zero-in CSR, per-vertex lists in edge order (= dict zero_in order)
+    # zero-in CSR, per-vertex lists in edge order
     zin_count = [0] * n
     for k in zero:
         zin_count[ev[k]] += 1
@@ -159,9 +169,9 @@ def _zero_structure(
         zin[fill[v]] = k
         fill[v] += 1
 
-    # zero-out built exactly like the dict code: iterate vertices in
-    # id order, appending each target to its predecessors' out lists —
-    # this fixes the Kahn push order, hence the topological order.
+    # zero-out: iterate vertices in id order, appending each target to
+    # its predecessors' out lists — this fixes the Kahn push order,
+    # hence the topological order.
     zout: list[list[int]] = [[] for _ in range(n)]
     for v in range(n):
         for p in range(zin_start[v], zin_start[v + 1]):
@@ -185,7 +195,20 @@ def _zero_structure(
 def delta_sweep(
     cg: CompiledGraph, r: list[int], through_host: bool | None = None
 ) -> KernelSweep:
-    """Full CP sweep; bit-identical to the dict ``compute_delta``."""
+    """Full CP sweep at retiming *r* (one value per vertex id).
+
+    Unless the graph models a combinational environment
+    (``through_host``, by default ``cg.through_host``), zero-weight
+    edges *leaving* the host are skipped: real combinational paths never
+    run through the environment, and keeping them would close a
+    spurious zero-weight cycle PO → host → PI on any register-free
+    input-to-output path.  Classic FEAS, which treats the host as an
+    ordinary vertex, passes ``through_host=True``.
+
+    Raises :class:`GraphError` on a negative retimed weight or a cyclic
+    zero-weight subgraph (which legality of *r* rules out whenever every
+    original cycle carries a register).
+    """
     obs.count("delta.sweeps")
     if through_host is None:
         through_host = cg.through_host

@@ -1,11 +1,18 @@
-"""Integer-indexed difference-constraint solving with incremental SPFA.
+"""Systems of difference constraints ``r(u) − r(v) ≤ b`` over vertex ids.
 
-``CompiledSystem`` mirrors :class:`repro.retime.constraints.
-DifferenceSystem` — same dedup-by-tightest-bound semantics, same
-virtual-source SPFA fixed point — on flat arrays keyed by vertex id.
-Because the maximal non-positive solution of a difference system is
-*unique*, the kernel's answers are exactly the dict solver's, however
-they are computed.
+Retiming legality, register-class bounds and period requirements are all
+difference constraints (paper Sec. 2, 4.1, 5.1).  ``CompiledSystem``
+keeps the tightest bound per ordered vertex pair, together with the tag
+of the constraint that set it, on flat arrays keyed by vertex id, and
+solves the system by Bellman-Ford with negative-cycle detection.
+
+Solving convention: a constraint ``r(u) − r(v) ≤ b`` becomes a
+relaxation arc ``v → u`` with weight ``b``; starting every distance at 0
+(virtual source) yields the component-wise *maximal non-positive*
+solution, which callers normalise by the host value (solutions are
+invariant under uniform shifts because every consumer only reads
+differences).  That solution is *unique*, so every solving strategy
+below returns exactly the same answer, however it is computed.
 
 The incremental mode is the point: the lazy constraint loops solve,
 add a few period constraints, and solve again.  Distances only ever
@@ -22,19 +29,26 @@ after |V| rounds is the classic negative-cycle certificate.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as _np
 
 from .. import obs
 from ..graph.retiming_graph import HOST
-from .compiled_graph import CompiledGraph
-
-if TYPE_CHECKING:  # pragma: no cover - avoids a retime<->kernels cycle
-    from ..retime.constraints import DifferenceSystem
 
 #: Below this arc count the numpy round overhead beats its win.
 _NUMPY_MIN_ARCS = 192
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """One difference constraint ``r(u) − r(v) ≤ bound``."""
+
+    u: str
+    v: str
+    bound: int
+    tag: str = ""
 
 
 class CompiledSystem:
@@ -47,12 +61,14 @@ class CompiledSystem:
         "arc_u",
         "arc_v",
         "arc_b",
+        "arc_tag",
         "arcs_from",
         "pair",
         "self_negative",
         "dist",
-        "_dirty",
+        "_stale",
         "host",
+        "pruned_constraints",
         "_bf_m",
         "_bf_order",
         "_bf_av",
@@ -70,16 +86,21 @@ class CompiledSystem:
         self.arc_u: list[int] = []
         self.arc_v: list[int] = []
         self.arc_b: list[int] = []
+        #: tag of the constraint that set each slot's current bound
+        self.arc_tag: list[str] = []
         self.arcs_from: list[list[int]] = [[] for _ in range(self.n)]
-        #: (u, v) -> arc slot, insertion-ordered like the dict system
+        #: (u, v) -> arc slot, in insertion order
         self.pair: dict[tuple[int, int], int] = {}
         #: a negative self-constraint was recorded (instant infeasibility)
         self.self_negative = False
         #: last solution (shared-source SPFA distances), or None
         self.dist: list[int] | None = None
-        #: arc slots added/tightened since the last solve
-        self._dirty: list[int] = []
+        #: constraints were added or tightened since the last solve
+        self._stale = False
         self.host = index.get(HOST, -1)
+        #: constraints a generator decided not to materialise because
+        #: they were implied (informational; set by dense generation)
+        self.pruned_constraints = 0
         # vectorised-round cache (arcs sorted by target); keyed on the
         # arc count, so it stays valid across copies until either grows
         self._bf_m = -1
@@ -91,27 +112,8 @@ class CompiledSystem:
     # ------------------------------------------------------------------ #
     # construction
 
-    @classmethod
-    def from_system(
-        cls, system: DifferenceSystem, cg: CompiledGraph
-    ) -> "CompiledSystem":
-        """Compile a dict system, using *cg*'s vertex ids as the base
-        universe (extra system variables are appended after them)."""
-        names = list(cg.names)
-        index = dict(cg.index)
-        for name in system.variables():
-            if name not in index:
-                index[name] = len(names)
-                names.append(name)
-        cs = cls(names, index)
-        add = cs.add
-        for constraint in system:
-            add(index[constraint.u], index[constraint.v], constraint.bound)
-        cs._dirty.clear()
-        return cs
-
     def add_variable(self, name: str) -> int:
-        """Declare a variable; returns its id."""
+        """Declare a variable (idempotent); returns its id."""
         i = self.index.get(name)
         if i is None:
             # fork the universe lazily — the base lists may be shared
@@ -124,14 +126,17 @@ class CompiledSystem:
             self.arcs_from.append([])
             if self.dist is not None:
                 self.dist.append(0)
+            if name == HOST:
+                self.host = i
         return i
 
-    def add(self, u: int, v: int, bound: int) -> bool:
+    def add(self, u: int, v: int, bound: int, tag: str = "") -> bool:
         """Add ``r(u) − r(v) ≤ bound``; True iff it tightened.
 
-        Same semantics as the dict system: keep the minimum bound per
-        ordered pair, drop vacuous non-negative self-pairs, record
-        negative self-pairs (making the system infeasible).
+        Keeps the minimum bound per ordered pair (and, when *tag* is
+        given, the tag of the constraint that set it), drops vacuous
+        non-negative self-pairs and records negative self-pairs (making
+        the system infeasible, intentionally).
         """
         if u == v and bound >= 0:
             return False
@@ -141,22 +146,33 @@ class CompiledSystem:
             if self.arc_b[slot] <= bound:
                 return False
             self.arc_b[slot] = bound
-            self._dirty.append(slot)
+            if tag:
+                self.arc_tag[slot] = tag
+            self._stale = True
             return True
         slot = len(self.arc_b)
         self.pair[key] = slot
         self.arc_u.append(u)
         self.arc_v.append(v)
         self.arc_b.append(bound)
+        self.arc_tag.append(tag)
         if u == v:
             self.self_negative = True
         else:
             self.arcs_from[v].append(slot)
-        self._dirty.append(slot)
+        self._stale = True
         return True
+
+    def add_named(self, u: str, v: str, bound: int, tag: str = "") -> bool:
+        """:meth:`add` by variable name, declaring unknown names."""
+        return self.add(self.add_variable(u), self.add_variable(v), bound, tag)
 
     def __len__(self) -> int:
         return len(self.arc_b)
+
+    def __iter__(self) -> Iterator[Constraint]:
+        """The constraints by vertex name, in insertion order."""
+        return map(self._constraint, range(len(self.arc_b)))
 
     def copy(self) -> "CompiledSystem":
         """Independent copy (shares the name table, forks on growth)."""
@@ -167,12 +183,14 @@ class CompiledSystem:
         other.arc_u = list(self.arc_u)
         other.arc_v = list(self.arc_v)
         other.arc_b = list(self.arc_b)
+        other.arc_tag = list(self.arc_tag)
         other.arcs_from = [list(a) for a in self.arcs_from]
         other.pair = dict(self.pair)
         other.self_negative = self.self_negative
         other.dist = list(self.dist) if self.dist is not None else None
-        other._dirty = list(self._dirty)
+        other._stale = self._stale
         other.host = self.host
+        other.pruned_constraints = self.pruned_constraints
         other._bf_m = self._bf_m
         other._bf_order = self._bf_order
         other._bf_av = self._bf_av
@@ -186,13 +204,13 @@ class CompiledSystem:
     def solve(self) -> list[int] | None:
         """Maximal non-positive solution, or None when infeasible.
 
-        Identical fixed point to ``DifferenceSystem.solve``.  Runs
-        incrementally from the previous solution when one exists (the
-        unique fixed point makes warm and cold starts agree exactly).
+        Runs incrementally from the previous solution when one exists
+        (the unique fixed point makes warm and cold starts agree
+        exactly).
         """
         if self.self_negative:
             return None
-        if self.dist is not None and not self._dirty:
+        if self.dist is not None and not self._stale:
             return self.dist
         if len(self.arc_b) >= _NUMPY_MIN_ARCS:
             result = self._solve_vectorized()
@@ -201,13 +219,13 @@ class CompiledSystem:
         else:
             result = self._solve_full()
         self.dist = result
-        self._dirty.clear()
+        self._stale = False
         if obs.enabled():
             obs.count("bf.solves")
         return result
 
     def _solve_full(self) -> list[int] | None:
-        """Cold SPFA from the all-zero start, as ``DifferenceSystem.solve``."""
+        """Cold queue-based Bellman-Ford (SPFA) from the all-zero start."""
         n = self.n
         arc_u, arc_b = self.arc_u, self.arc_b
         arcs_from = self.arcs_from
@@ -313,18 +331,19 @@ class CompiledSystem:
             obs.count("bf.rounds", self.n + 1)
         return None  # negative cycle
 
-    def negative_cycle(self) -> list[tuple[int, int, int]] | None:
-        """Negative-cycle certificate as (u, v, bound) id triples.
+    def negative_cycle(self) -> list[Constraint] | None:
+        """Negative-cycle certificate of an infeasible system.
 
         Post-hoc predecessor-tracking Bellman-Ford, run only after
         :meth:`solve` reported infeasibility — the solving rounds stay
-        certificate-free.  Consecutive triples chain ``c[i][1] ==
-        c[i+1][0]`` around the cycle and the bounds sum negative.
-        Returns None when the system is actually feasible.
+        certificate-free.  Returns the cycle's tagged constraints in arc
+        order — consecutive entries chain ``c[i].v == c[i+1].u`` and the
+        bounds sum to a negative number — or None when the system is in
+        fact feasible.
         """
         for (u, v), slot in self.pair.items():
             if u == v:  # negative self-pair (add() filtered the rest)
-                return [(u, v, self.arc_b[slot])]
+                return [self._constraint(slot)]
         n = self.n
         arc_u, arc_v, arc_b = self.arc_u, self.arc_v, self.arc_b
         m = len(arc_b)
@@ -345,6 +364,8 @@ class CompiledSystem:
             if updated < 0:
                 return None  # converged: feasible
             marked = updated
+        # walk predecessors until a vertex repeats; that repeat closes
+        # the negative cycle (the prefix before it is an approach tail)
         seen: dict[int, int] = {}
         trail: list[int] = []
         node = marked
@@ -355,10 +376,16 @@ class CompiledSystem:
                 return None
             trail.append(slot)
             node = arc_v[slot]
-        return [
-            (arc_u[slot], arc_v[slot], arc_b[slot])
-            for slot in trail[seen[node]:]
-        ]
+        return [self._constraint(slot) for slot in trail[seen[node]:]]
+
+    def _constraint(self, slot: int) -> Constraint:
+        names = self.names
+        return Constraint(
+            names[self.arc_u[slot]],
+            names[self.arc_v[slot]],
+            self.arc_b[slot],
+            self.arc_tag[slot],
+        )
 
     def normalized(self, dist: list[int]) -> list[int]:
         """Shift a solution so the host variable reads 0."""

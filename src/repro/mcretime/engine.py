@@ -27,11 +27,7 @@ from ..netlist import Circuit
 from ..retime.constraints import InfeasibleConstraints
 from ..retime.feas import clock_period
 from ..retime.minarea import min_area
-from ..retime.minperiod import (
-    feasible_retiming,
-    infeasibility_certificate,
-    min_period,
-)
+from ..retime.minperiod import base_system, check_period, min_period
 from .bounds import compute_bounds
 from .classes import Classifier
 from .relocate import (
@@ -152,15 +148,13 @@ def solve_and_relocate(
                 if target_period is None:
                     r = mp.r
                 else:
-                    r = feasible_retiming(work_graph, phi, work_bounds)
+                    system = base_system(work_graph, work_bounds)
+                    r = check_period(work_graph, phi, system).r
                     if r is None:
-                        err = infeasibility_certificate(
-                            work_graph, phi, work_bounds
-                        )
                         raise InfeasibleConstraints(
                             f"target period {phi} infeasible for "
                             f"{circuit.name!r}",
-                            err.cycle if err is not None else (),
+                            system.negative_cycle() or (),
                             period=phi,
                         )
                 area_registers = None

@@ -77,17 +77,14 @@ def critical_path_witness(graph, r: dict[str, int]) -> dict[str, Any]:
     **bit-exactly**.  Every consecutive edge must carry zero registers
     under *r* (recorded for independent re-validation).
     """
-    from ..retime.feas import compute_delta
+    from ..kernels import compile_graph, delta_sweep
 
-    sweep = compute_delta(graph, r)
+    cg = compile_graph(graph)
+    sweep = delta_sweep(cg, cg.r_array(r))
     period = sweep.period
-    end = next(v for v in sweep.delta if sweep.delta[v] == period)
-    path = []
-    node: str | None = end
-    while node is not None:
-        path.append(node)
-        node = sweep.pred.get(node)
-    path.reverse()
+    # the first maximal vertex in the sweep's topological order
+    end = next(v for v in sweep.order if sweep.delta[v] == period)
+    path = [cg.names[i] for i in sweep.path(end)]
     delays = [graph.vertices[v].delay for v in path]
     acc = 0.0
     for d in delays:
@@ -110,45 +107,22 @@ def critical_path_witness(graph, r: dict[str, int]) -> dict[str, Any]:
     }
 
 
-def _lazy_period_probe(graph, bounds, phi):
-    """Dict-based lazy feasibility at *phi*, capturing per-constraint
-    gate paths.  Returns ``(system, feasible, paths)`` where *paths*
-    maps each generated period constraint's (u, v) pair to the
-    register-free gate path that produced it."""
-    from ..graph.retiming_graph import HOST
-    from ..retime.feas import compute_delta
-    from ..retime.minperiod import EPS, MAX_LAZY_ROUNDS, base_system
+def _feasibility_probe(graph, bounds, phi, paths=None):
+    """Min-period's lazy feasibility loop at *phi* from the base system.
 
-    system = base_system(graph, bounds)
-    paths: dict[tuple[str, str], list[str]] = {}
-    for _ in range(MAX_LAZY_ROUNDS):
-        r = system.solve()
-        if r is None:
-            return system, False, paths
-        shift = r.get(HOST, 0)
-        if shift:
-            r = {v: val - shift for v, val in r.items()}
-        sweep = compute_delta(graph, r)
-        added = False
-        for v, dv in sweep.delta.items():
-            if dv <= phi + EPS:
-                continue
-            if graph.vertices[v].kind == "mirror":
-                continue
-            u = sweep.trace_start(v)
-            bound = r.get(u, 0) - r.get(v, 0) - 1
-            if system.add(u, v, bound, tag="period"):
-                added = True
-                chain = [v]
-                node = v
-                while sweep.pred.get(node) is not None:
-                    node = sweep.pred[node]
-                    chain.append(node)
-                chain.reverse()
-                paths[(u, v)] = chain
-        if not added:
-            return system, True, paths
-    raise RuntimeError("lazy period-constraint generation did not converge")
+    Returns ``(system, feasible)``: the system the loop grew (period
+    constraints tagged ``period``) and whether *phi* is feasible.
+    *paths* receives each generated constraint's gate path, keyed by
+    vertex-id pair (see :func:`repro.retime.minperiod.
+    add_period_constraints`).
+    """
+    from ..kernels import compile_graph
+    from ..retime.minperiod import _base_system, _lazy_feasibility
+
+    cg = compile_graph(graph)
+    system = _base_system(cg, bounds)
+    r, _rounds, _sweep = _lazy_feasibility(cg, phi, system, paths)
+    return system, r is not None
 
 
 def _compose_cycle(cycle, paths):
@@ -198,12 +172,18 @@ def period_lower_bound(graph, bounds, period: float) -> dict[str, Any] | None:
     probe = period - 0.5 if integral else period - max(period * 1e-6, 1e-6)
     if probe < 0:
         return None
-    system, feasible, paths = _lazy_period_probe(graph, bounds, probe)
+    path_ids: dict[tuple[int, int], list[int]] = {}
+    system, feasible = _feasibility_probe(graph, bounds, probe, path_ids)
     if feasible:
         return None
     cycle = system.negative_cycle()
     if cycle is None:
         return None
+    names = system.names
+    paths = {
+        (names[u], names[v]): [names[i] for i in chain]
+        for (u, v), chain in path_ids.items()
+    }
     constraints = [
         {"u": c.u, "v": c.v, "bound": c.bound, "tag": c.tag} for c in cycle
     ]
@@ -420,7 +400,6 @@ def area_attribution(
     (bit-identity between the re-run and the served result).
     """
     from ..retime.minarea import lazy_min_area
-    from ..retime.minperiod import mirror_constraints
     from ..retime.sharing_model import build_sharing_model, shared_register_count
 
     model = build_sharing_model(work_graph)
@@ -429,8 +408,7 @@ def area_attribution(
     full_r = dict(zip(names, loop.r))
     real_r = {v: full_r[v] for v in work_graph.vertices}
     registers = shared_register_count(work_graph, real_r)
-    mirror_constraints(loop.base, loop.system)
-    tags = {(c.u, c.v): c.tag for c in loop.base}
+    # the flow has one arc per constraint, in constraint order
     arcs = loop.flow.arcs()
     binding = [
         {
@@ -438,9 +416,9 @@ def area_attribution(
             "v": names[v],
             "bound": cost,
             "flow": flow,
-            "tag": tags.get((names[u], names[v]), ""),
+            "tag": tag,
         }
-        for u, v, cost, flow in arcs
+        for (u, v, cost, flow), tag in zip(arcs, loop.system.arc_tag)
         if flow
     ]
     dual_sum = sum(flow * cost for _, _, cost, flow in arcs)
@@ -505,7 +483,7 @@ def build_explanation(
     period = witness["period"]
     minimal = target_period is None
     lower = period_lower_bound(work_graph, work_bounds, period) if minimal else None
-    system, feasible, _paths = _lazy_period_probe(work_graph, work_bounds, phi)
+    system, feasible = _feasibility_probe(work_graph, work_bounds, phi)
     lags = lag_parents(system, r) if feasible else {"host": "", "parents": {}}
     stuck = stuck_attribution(
         work_graph, bounds_result, transform, work_bounds, r

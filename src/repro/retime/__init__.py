@@ -1,13 +1,13 @@
 """Basic retiming engine: FEAS, min-period, min-cost-flow min-area."""
 
-from .constraints import Constraint, DifferenceSystem, InfeasibleError
+from .constraints import Constraint, InfeasibleError
 from .dense import (
     dense_period_system,
     feasible_retiming_dense,
     min_area_dense,
     min_period_dense,
 )
-from .feas import DeltaResult, clock_period, compute_delta, feas
+from .feas import clock_period, feas
 from .minarea import AreaResult, min_area
 from .minperiod import (
     FeasibilityResult,
@@ -27,8 +27,6 @@ from .wd import candidate_periods, wd_from_source, wd_matrices
 __all__ = [
     "AreaResult",
     "Constraint",
-    "DeltaResult",
-    "DifferenceSystem",
     "FeasibilityResult",
     "InfeasibleError",
     "MinPeriodResult",
@@ -42,7 +40,6 @@ __all__ = [
     "feasible_retiming_dense",
     "min_area_dense",
     "min_period_dense",
-    "compute_delta",
     "feas",
     "feasible_retiming",
     "min_area",

@@ -1,39 +1,21 @@
-"""Systems of difference constraints ``r(u) − r(v) ≤ b``.
+"""Infeasibility certificates for systems of difference constraints.
 
-Retiming legality, register-class bounds and period requirements are all
-difference constraints (paper Sec. 2, 4.1, 5.1).  This module keeps the
-tightest bound per ordered vertex pair and solves the system with a
-queue-based Bellman–Ford (SPFA) including negative-cycle detection.
-
-Solving convention: a constraint ``r(u) − r(v) ≤ b`` becomes a
-relaxation arc ``v → u`` with weight ``b``; starting every distance at 0
-(virtual source) yields the component-wise *maximal non-positive*
-solution, which callers normalise by the host value (solutions are
-invariant under uniform shifts because every consumer only reads
-differences).
+Retiming legality, register-class bounds and period requirements are
+all difference constraints ``r(u) − r(v) ≤ b`` (paper Sec. 2, 4.1,
+5.1), kept and solved by :class:`repro.kernels.CompiledSystem`.  When a
+system has no solution, the solver's negative cycle is the proof; this
+module holds the error types that carry it.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from .. import obs
+from ..kernels.diffsys import Constraint
 
 
 class InfeasibleError(Exception):
     """Raised when a difference system has no solution (negative cycle)."""
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One difference constraint ``r(u) − r(v) ≤ bound``."""
-
-    u: str
-    v: str
-    bound: int
-    tag: str = ""
 
 
 class InfeasibleConstraints(InfeasibleError):
@@ -87,174 +69,3 @@ class InfeasibleConstraints(InfeasibleError):
             f"{self}: {len(self.cycle)}-constraint cycle {path} "
             f"sums to {self.total} ({tag_note})"
         )
-
-
-class DifferenceSystem:
-    """A deduplicated set of difference constraints over named variables."""
-
-    def __init__(self, variables: Iterable[str] = ()) -> None:
-        self._vars: dict[str, None] = {}
-        for v in variables:
-            self._vars.setdefault(v)
-        self._bound: dict[tuple[str, str], int] = {}
-        self._tag: dict[tuple[str, str], str] = {}
-        #: constraints a generator decided not to materialise because
-        #: they were implied (informational; set by dense generation)
-        self.pruned_constraints: int = 0
-
-    def add_variable(self, name: str) -> None:
-        """Declare a variable (idempotent)."""
-        self._vars.setdefault(name)
-
-    def variables(self) -> list[str]:
-        """All declared variables, in insertion order."""
-        return list(self._vars)
-
-    def add(self, u: str, v: str, bound: int, tag: str = "") -> bool:
-        """Add ``r(u) − r(v) ≤ bound``; returns True if it tightened.
-
-        Keeps only the minimum bound per (u, v) pair.  Self-pairs with a
-        non-negative bound are vacuous and dropped; a negative self-pair
-        is recorded (it makes the system infeasible, intentionally).
-        """
-        self.add_variable(u)
-        self.add_variable(v)
-        if u == v and bound >= 0:
-            return False
-        key = (u, v)
-        old = self._bound.get(key)
-        if old is not None and old <= bound:
-            return False
-        self._bound[key] = bound
-        if tag:
-            self._tag[key] = tag
-        return True
-
-    def bound(self, u: str, v: str) -> int | None:
-        """Current tightest bound for the pair, or None."""
-        return self._bound.get((u, v))
-
-    def __len__(self) -> int:
-        return len(self._bound)
-
-    def __iter__(self) -> Iterator[Constraint]:
-        for (u, v), b in self._bound.items():
-            yield Constraint(u, v, b, self._tag.get((u, v), ""))
-
-    def copy(self) -> "DifferenceSystem":
-        """Independent copy."""
-        other = DifferenceSystem(self._vars)
-        other._bound = dict(self._bound)
-        other._tag = dict(self._tag)
-        return other
-
-    def solve(self) -> dict[str, int] | None:
-        """Solve by SPFA; returns an integral solution or None.
-
-        All distances start at 0 (virtual source), so the returned
-        values are ≤ 0; callers typically re-anchor on a designated
-        variable.  Returns None on a negative cycle (infeasible system).
-        """
-        names = list(self._vars)
-        index = {n: i for i, n in enumerate(names)}
-        n = len(names)
-        # relaxation arcs: constraint (u, v, b) -> arc v -> u, weight b
-        arcs_from: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (u, v), b in self._bound.items():
-            if u == v:  # negative self-loop: instant infeasibility
-                return None
-            arcs_from[index[v]].append((index[u], b))
-        dist = [0] * n
-        in_queue = [True] * n
-        relax_count = [0] * n
-        queue: deque[int] = deque(range(n))
-        while queue:
-            vi = queue.popleft()
-            in_queue[vi] = False
-            dvi = dist[vi]
-            for ui, b in arcs_from[vi]:
-                nd = dvi + b
-                if nd < dist[ui]:
-                    dist[ui] = nd
-                    relax_count[ui] += 1
-                    if relax_count[ui] > n:
-                        if obs.enabled():
-                            obs.count("bf.solves")
-                            obs.count("bf.relaxations", sum(relax_count))
-                        return None  # negative cycle
-                    if not in_queue[ui]:
-                        in_queue[ui] = True
-                        queue.append(ui)
-        if obs.enabled():
-            obs.count("bf.solves")
-            obs.count("bf.relaxations", sum(relax_count))
-            # queue-based SPFA has no synchronous rounds; report the
-            # depth an equivalent round-based Bellman-Ford would need
-            obs.count("bf.rounds", max(relax_count, default=0) + 1)
-        return {name: dist[index[name]] for name in names}
-
-    def negative_cycle(self) -> list[Constraint] | None:
-        """Extract a negative-cycle certificate from an infeasible system.
-
-        Runs a round-based Bellman-Ford with predecessor tracking (the
-        queue-based :meth:`solve` stays certificate-free so the feasible
-        hot path pays nothing) and walks the predecessor arcs back
-        around the cycle.  Returns the cycle's constraints in arc order
-        — consecutive entries chain ``c[i].v == c[i+1].u`` and the
-        bounds sum to a negative number — or None when the system is in
-        fact feasible.
-        """
-        for (u, v), b in self._bound.items():
-            if u == v:  # negative self-pair recorded by add()
-                return [Constraint(u, v, b, self._tag.get((u, v), ""))]
-        names = list(self._vars)
-        index = {n: i for i, n in enumerate(names)}
-        n = len(names)
-        arcs = [
-            (index[v], index[u], b, key)
-            for key, b in self._bound.items()
-            for (u, v) in (key,)
-        ]
-        dist = [0] * n
-        pred: list[tuple[str, str] | None] = [None] * n
-        marked = -1
-        # all distances start at 0 (virtual source), so shortest paths
-        # have at most n-1 arcs: a relaxation in pass n+1 proves a cycle
-        for _ in range(n + 1):
-            updated = -1
-            for vi, ui, b, key in arcs:
-                nd = dist[vi] + b
-                if nd < dist[ui]:
-                    dist[ui] = nd
-                    pred[ui] = key
-                    updated = ui
-            if updated < 0:
-                return None  # converged: feasible, no certificate
-            marked = updated
-        # walk predecessors until a vertex repeats; that repeat closes
-        # the negative cycle (the prefix before it is an approach tail)
-        seen: dict[int, int] = {}
-        trail: list[tuple[str, str]] = []
-        node = marked
-        while node not in seen:
-            seen[node] = len(trail)
-            key = pred[node]
-            if key is None:  # defensive: should be unreachable
-                return None
-            trail.append(key)
-            node = index[key[1]]
-        cycle_keys = trail[seen[node]:]
-        # each key is (node, pred-node), so consecutive keys already
-        # chain c[i].v == c[i+1].u around the cycle
-        return [
-            Constraint(u, v, self._bound[(u, v)], self._tag.get((u, v), ""))
-            for (u, v) in cycle_keys
-        ]
-
-    def check(self, r: dict[str, int]) -> list[Constraint]:
-        """Return the constraints violated by assignment *r* (if any)."""
-        violated = []
-        for c in self:
-            if r.get(c.u, 0) - r.get(c.v, 0) > c.bound:
-                violated.append(c)
-        return violated

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..graph.retiming_graph import RetimingGraph
-from ..kernels import CompiledSystem, compile_graph
-from .constraints import DifferenceSystem, InfeasibleError
+from ..kernels import CompiledSystem
+from .constraints import InfeasibleError
+from .feas import clock_period
 from .minarea import AreaResult, lp_supply, solve_lp
-from .minperiod import EPS, MinPeriodResult, base_system, _solve_normalized
-from .feas import compute_delta
+from .minperiod import EPS, MinPeriodResult, _named, base_system
 from .sharing_model import build_sharing_model, shared_register_count
 from .wd import wd_matrices
 
@@ -35,7 +35,7 @@ def dense_period_system(
     bounds: dict[str, tuple[int, int]] | None = None,
     prune_with_bounds: bool = True,
     wd: tuple[dict, dict] | None = None,
-) -> DifferenceSystem:
+) -> CompiledSystem:
     """Base system plus *all* period constraints for target φ.
 
     Pairs through synthetic vertices (mirrors) are excluded; the host is
@@ -85,7 +85,7 @@ def dense_period_system(
             ):
                 pruned += 1
                 continue
-        system.add(u, v, bound, tag="period-dense")
+        system.add_named(u, v, bound, "period-dense")
     system.pruned_constraints = pruned
     return system
 
@@ -98,13 +98,14 @@ def feasible_retiming_dense(
 ) -> dict[str, int] | None:
     """One-shot dense feasibility check at period φ."""
     system = dense_period_system(graph, phi, bounds, wd=wd)
-    r = _solve_normalized(system)
-    if r is None:
+    dist = system.solve()
+    if dist is None:
         return None
+    r = _named(system, system.normalized(dist))
     # W/D-based constraints ignore paths through the host when the
     # environment is sequential; legality still guaranteed, but verify
     # the achieved period as a safety net
-    if compute_delta(graph, r).period > phi + EPS:
+    if clock_period(graph, r) > phi + EPS:
         return None
     return r
 
@@ -117,7 +118,7 @@ def min_period_dense(
     W, D = wd_matrices(graph)
     candidates = sorted(set(D.values()))
     zero = {v: 0 for v in graph.vertices}
-    start = compute_delta(graph, zero).period
+    start = clock_period(graph)
     best_phi, best_r = start, zero
     lo, hi = 0, len(candidates) - 1
     probes = 0
@@ -127,7 +128,7 @@ def min_period_dense(
         probes += 1
         r = feasible_retiming_dense(graph, phi, bounds, wd=(W, D))
         if r is not None:
-            achieved = compute_delta(graph, r).period
+            achieved = clock_period(graph, r)
             if achieved < best_phi:
                 best_phi, best_r = achieved, r
             hi = mid - 1
@@ -146,12 +147,11 @@ def min_area_dense(
     """Min-area with the full dense period-constraint set."""
     model = build_sharing_model(graph)
     system = dense_period_system(model.graph, phi, bounds)
-    csys = CompiledSystem.from_system(system, compile_graph(model.graph))
-    solved = solve_lp(csys, lp_supply(csys, model))
+    solved = solve_lp(system, lp_supply(system, model))
     if solved is None:
         raise InfeasibleError(f"period {phi} infeasible for {graph.name!r}")
-    r = dict(zip(csys.names, solved[0]))
-    if compute_delta(model.graph, r).period > phi + EPS:
+    r = dict(zip(system.names, solved[0]))
+    if clock_period(model.graph, r) > phi + EPS:
         raise InfeasibleError(
             f"dense constraint set missed a violating path at φ={phi}"
         )
@@ -160,7 +160,7 @@ def min_area_dense(
         r=real_r,
         registers=shared_register_count(graph, real_r),
         registers_before=shared_register_count(graph),
-        period=compute_delta(graph, real_r).period,
+        period=clock_period(graph, real_r),
         rounds=1,
         constraints=len(system),
     )

@@ -1,151 +1,32 @@
-"""Clock-period computation (CP) and the classic FEAS algorithm.
+"""Clock period (CP) and the classic FEAS algorithm.
 
 ``CP`` computes Δ(v) — the largest delay of a register-free path ending
 at v — by a topological sweep of the zero-weight subgraph; the clock
-period of a retimed graph is ``max_v Δ(v)`` (paper Sec. 2 / [9]).
+period of a retimed graph is ``max_v Δ(v)`` (paper Sec. 2 / [9]).  The
+sweep is :func:`repro.kernels.delta_sweep`.
 
 ``FEAS`` is Leiserson–Saxe's relaxation: repeat |V|−1 times, increment
 r(v) wherever Δ(v) exceeds the target period.  It is kept for its
-textbook value and as a cross-check; the production path (which also
+textbook value and as a test reference; the production path (which also
 supports per-vertex bounds and pinned I/O) is the lazy constraint
 generation in :mod:`repro.retime.minperiod`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .. import obs
-from ..graph.retiming_graph import GraphError, RetimingGraph
-
-
-@dataclass
-class DeltaResult:
-    """Outcome of one CP sweep."""
-
-    #: Δ per vertex.
-    delta: dict[str, float]
-    #: argmax zero-weight predecessor per vertex (path tracing).
-    pred: dict[str, str | None]
-    #: the topological order the sweep used — callers doing repeated
-    #: sweeps with a stable zero-subgraph can feed it back to
-    #: :func:`compute_delta` to skip the Kahn pass
-    order: list[str] | None = None
-    _period: float | None = field(
-        default=None, repr=False, compare=False, init=False
-    )
-
-    @property
-    def period(self) -> float:
-        """The clock period: max Δ (computed once, then cached)."""
-        if self._period is None:
-            self._period = max(self.delta.values(), default=0.0)
-        return self._period
-
-    def trace_start(self, v: str) -> str:
-        """Walk predecessors back to the start of v's critical path."""
-        node = v
-        while self.pred.get(node) is not None:
-            node = self.pred[node]
-        return node
-
-
-def _order_fits(
-    order: list[str], graph: RetimingGraph, zero_in: dict[str, list[str]]
-) -> bool:
-    """Is *order* a topological order of this zero-weight subgraph?"""
-    if len(order) != len(graph.vertices):
-        return False
-    pos: dict[str, int] = {}
-    for i, v in enumerate(order):
-        if v not in graph.vertices or v in pos:
-            return False
-        pos[v] = i
-    for v, preds in zero_in.items():
-        pv = pos[v]
-        for u in preds:
-            if pos[u] >= pv:
-                return False
-    return True
-
-
-def compute_delta(
-    graph: RetimingGraph,
-    r: dict[str, int] | None = None,
-    through_host: bool | None = None,
-    order: list[str] | None = None,
-) -> DeltaResult:
-    """CP sweep over the (optionally retimed) zero-weight subgraph.
-
-    Unless the graph models a combinational environment
-    (``graph.combinational_host``), zero-weight edges *leaving* the host
-    are skipped: real combinational paths never run through the
-    environment, and keeping them would close a spurious zero-weight
-    cycle PO → host → PI on any register-free input-to-output path.
-    Classic FEAS (which treats the host as an ordinary vertex and
-    normalises afterwards) passes ``through_host=True`` explicitly.
-
-    A caller holding a topological *order* from a previous sweep (see
-    :attr:`DeltaResult.order`) can pass it back; it is validated against
-    the current zero subgraph in one O(E) pass and used directly when
-    still consistent, skipping the Kahn pass.
-
-    Raises :class:`GraphError` if the zero-weight subgraph is cyclic
-    (which legality of *r* rules out whenever every original cycle
-    carries a register).
-    """
-    r = r or {}
-    obs.count("delta.sweeps")
-    if through_host is None:
-        through_host = graph.combinational_host
-    zero_in: dict[str, list[str]] = {v: [] for v in graph.vertices}
-    for edge in graph.edges.values():
-        w = edge.w + r.get(edge.v, 0) - r.get(edge.u, 0)
-        if w < 0:
-            raise GraphError(
-                f"negative retimed weight on {edge.u}->{edge.v} (w={w})"
-            )
-        if w == 0 and (through_host or graph.vertices[edge.u].kind != "host"):
-            zero_in[edge.v].append(edge.u)
-
-    if order is not None and not _order_fits(order, graph, zero_in):
-        order = None  # stale order: fall back to a fresh Kahn pass
-    if order is None:
-        indeg = {v: len(preds) for v, preds in zero_in.items()}
-        queue = [v for v, d in indeg.items() if d == 0]
-        order = []
-        # Kahn's algorithm needs out-adjacency; rebuild it once
-        zero_out: dict[str, list[str]] = {v: [] for v in graph.vertices}
-        for v, preds in zero_in.items():
-            for u in preds:
-                zero_out[u].append(v)
-        while queue:
-            v = queue.pop()
-            order.append(v)
-            for s in zero_out[v]:
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    queue.append(s)
-        if len(order) != len(graph.vertices):
-            raise GraphError("zero-weight subgraph is cyclic")
-
-    delta: dict[str, float] = {}
-    pred: dict[str, str | None] = {}
-    for v in order:
-        best = 0.0
-        best_pred: str | None = None
-        for u in zero_in[v]:
-            if delta[u] > best:
-                best = delta[u]
-                best_pred = u
-        delta[v] = best + graph.vertices[v].delay
-        pred[v] = best_pred
-    return DeltaResult(delta, pred, order)
+from ..graph.retiming_graph import RetimingGraph
+from ..kernels import compile_graph, delta_sweep
 
 
 def clock_period(graph: RetimingGraph, r: dict[str, int] | None = None) -> float:
-    """Clock period of the (retimed) graph."""
-    return compute_delta(graph, r).period
+    """Clock period of the (retimed) graph.
+
+    Raises :class:`~repro.graph.GraphError` when *r* makes an edge
+    weight negative or leaves a register-free cycle.
+    """
+    cg = compile_graph(graph)
+    return delta_sweep(cg, cg.r_array(r)).period
 
 
 def feas(
@@ -154,30 +35,33 @@ def feas(
     """Classic FEAS: a legal retiming achieving period ≤ *phi*, or None.
 
     No bounds or pinning support — every vertex may move (Leiserson–Saxe
-    Algorithm FEAS).  When *normalize* names a vertex, the solution is
-    shifted so that vertex gets value 0 (uniform shifts are no-ops).
+    Algorithm FEAS), and the host is an ordinary vertex of the sweep.
+    When *normalize* names a vertex, the solution is shifted so that
+    vertex gets value 0 (uniform shifts are no-ops).
     """
     eps = 1e-9
-    r = {v: 0 for v in graph.vertices}
+    cg = compile_graph(graph)
+    r = [0] * cg.n
     sweep = None
     changed = False
     passes = 0
-    for _ in range(max(len(graph.vertices) - 1, 1)):
-        sweep = compute_delta(graph, r, through_host=True)
+    for _ in range(max(cg.n - 1, 1)):
+        sweep = delta_sweep(cg, r, through_host=True)
         passes += 1
         changed = False
-        for v, dv in sweep.delta.items():
+        for v, dv in enumerate(sweep.delta):
             if dv > phi + eps:
                 r[v] += 1
                 changed = True
         if not changed:
             break
     if changed or sweep is None:  # r moved after the last sweep
-        sweep = compute_delta(graph, r, through_host=True)
+        sweep = delta_sweep(cg, r, through_host=True)
     obs.count("feas.passes", passes)
     if sweep.period > phi + eps:
         return None
-    if normalize is not None and normalize in r:
-        shift = r[normalize]
-        r = {v: val - shift for v, val in r.items()}
-    return r
+    solution = cg.r_dict(r)
+    if normalize is not None and normalize in solution:
+        shift = solution[normalize]
+        solution = {v: val - shift for v, val in solution.items()}
+    return solution

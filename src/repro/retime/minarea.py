@@ -40,15 +40,9 @@ from dataclasses import dataclass
 from .. import obs
 from ..graph.retiming_graph import RetimingGraph
 from ..kernels import CompiledSystem, IntMinCostFlow, compile_graph, delta_sweep
-from .constraints import DifferenceSystem, InfeasibleError
-from .feas import compute_delta
-from .minperiod import (
-    EPS,
-    MAX_LAZY_ROUNDS,
-    base_system,
-    mirror_constraints,
-    period_infeasible,
-)
+from .constraints import InfeasibleConstraints, InfeasibleError
+from .feas import clock_period
+from .minperiod import MAX_LAZY_ROUNDS, _base_system, add_period_constraints
 from .sharing_model import SharingModel, build_sharing_model, shared_register_count
 
 
@@ -74,9 +68,8 @@ class AreaResult:
 class AreaLoop:
     """Final state of the lazy min-area loop (:func:`lazy_min_area`)."""
 
-    #: The base system the loop compiled (circuit, pin and class tags).
-    base: DifferenceSystem
-    #: The final system: *base* plus every generated period constraint.
+    #: The final system: the base system (circuit, pin and class tags)
+    #: plus every generated period constraint.
     system: CompiledSystem
     #: The last round's solved LP dual.
     flow: IntMinCostFlow
@@ -132,41 +125,36 @@ def lazy_min_area(
     Raises :class:`~repro.retime.constraints.InfeasibleConstraints`
     with a negative-cycle certificate when *phi* is infeasible.
     """
-    extended = model.graph
-    cg = compile_graph(extended)
-    base = base_system(extended, bounds)
-    csys = CompiledSystem.from_system(base, cg)
+    cg = compile_graph(model.graph)
+    csys = _base_system(cg, bounds)
     supply = lp_supply(csys, model)
     n = cg.n
-    is_mirror = cg.is_mirror
     for rounds in range(1, MAX_LAZY_ROUNDS + 1):
-        solved = solve_lp(csys, supply)
-        if solved is None:
-            mirror_constraints(base, csys)
-            raise period_infeasible(graph, phi, base)
-        r, flow = solved
-        violations = csys.violated(r)
-        if violations:  # numerical/duality bug guard: never expected
-            names = csys.names
-            shown = [(names[u], names[v], b) for u, v, b in violations[:3]]
-            raise RuntimeError(f"LP solution violates {shown}")
-        sweep = delta_sweep(cg, r[:n])
-        delta = sweep.delta
-        added = False
-        limit = phi + EPS
-        # constraints enter in topo order (see the module docstring);
-        # topo_order() rather than .order — the latter is None on
-        # refreshed sweeps, and this loop must stay safe if the sweep
-        # above ever becomes incremental
-        for v in sweep.topo_order(cg):
-            if delta[v] <= limit or is_mirror[v]:
-                continue
-            u = sweep.trace_start(v)
-            bound = r[u] - r[v] - 1
-            if csys.add(u, v, bound):
-                added = True
+        with obs.span("minarea.lp", round=rounds):
+            solved = solve_lp(csys, supply)
+            if solved is None:
+                raise InfeasibleConstraints(
+                    f"period {phi} infeasible for {graph.name!r}",
+                    csys.negative_cycle() or (),
+                    period=phi,
+                )
+            r, flow = solved
+            violations = csys.violated(r)
+            if violations:  # numerical/duality bug guard: never expected
+                names = csys.names
+                shown = [(names[u], names[v], b) for u, v, b in violations[:3]]
+                raise RuntimeError(f"LP solution violates {shown}")
+        with obs.span("minarea.sweep", round=rounds):
+            sweep = delta_sweep(cg, r[:n])
+            # constraints enter in topo order (see the module docstring);
+            # topo_order() rather than .order — the latter is None on
+            # refreshed sweeps, and this loop must stay safe if the sweep
+            # above ever becomes incremental
+            added = add_period_constraints(
+                cg, csys, sweep, r, phi, sweep.topo_order(cg)
+            )
         if not added:
-            return AreaLoop(base, csys, flow, r, rounds)
+            return AreaLoop(csys, flow, r, rounds)
     raise RuntimeError("lazy period-constraint generation did not converge")
 
 
@@ -191,12 +179,11 @@ def min_area(
 
     index = loop.system.index
     real_r = {v: loop.r[index[v]] for v in graph.vertices}
-    period = compute_delta(graph, real_r).period
     return AreaResult(
         r=real_r,
         registers=shared_register_count(graph, real_r),
         registers_before=shared_register_count(graph),
-        period=period,
+        period=clock_period(graph, real_r),
         rounds=loop.rounds,
         constraints=len(loop.system),
     )

@@ -40,7 +40,6 @@ from ..kernels import (
     delta_sweep,
     refresh,
 )
-from .constraints import DifferenceSystem, InfeasibleConstraints
 
 #: Float comparison slack for delays.
 EPS = 1e-9
@@ -80,37 +79,35 @@ class MinPeriodResult:
 def base_system(
     graph: RetimingGraph,
     bounds: dict[str, tuple[int, int]] | None = None,
-) -> DifferenceSystem:
+) -> CompiledSystem:
     """Circuit constraints + pinned vertices + class bounds.
 
     Every non-movable vertex (host, ports, control outputs) is pinned to
     the host's value; *bounds* maps vertex -> (r_min, r_max) relative to
     the host, encoded as the two host difference constraints of paper
-    Sec. 5.1.
+    Sec. 5.1.  The system's variables are the graph's vertices, with
+    the ids of :func:`~repro.kernels.compile_graph`.
     """
-    system = DifferenceSystem(graph.vertices)
-    for edge in graph.edges.values():
-        system.add(edge.u, edge.v, edge.w, tag="circuit")
-    for vertex in graph.vertices.values():
-        if vertex.name == HOST:
-            continue
-        if not vertex.movable:
-            system.add(vertex.name, HOST, 0, tag="pin")
-            system.add(HOST, vertex.name, 0, tag="pin")
+    return _base_system(compile_graph(graph), bounds)
+
+
+def _base_system(
+    cg: CompiledGraph, bounds: dict[str, tuple[int, int]] | None
+) -> CompiledSystem:
+    """:func:`base_system` over an already compiled graph."""
+    system = CompiledSystem(cg.names, cg.index)
+    add = system.add
+    for u, v, w in zip(cg.eu, cg.ev, cg.ew):
+        add(u, v, w, "circuit")
+    names = cg.names
+    for i in range(cg.n):
+        if i != cg.host and not cg.movable[i]:
+            system.add_named(names[i], HOST, 0, "pin")
+            system.add_named(HOST, names[i], 0, "pin")
     for name, (lo, hi) in (bounds or {}).items():
-        system.add(name, HOST, hi, tag="class")
-        system.add(HOST, name, -lo, tag="class")
+        system.add_named(name, HOST, hi, "class")
+        system.add_named(HOST, name, -lo, "class")
     return system
-
-
-def _solve_normalized(system: DifferenceSystem) -> dict[str, int] | None:
-    r = system.solve()
-    if r is None:
-        return None
-    shift = r.get(HOST, 0)
-    if shift:
-        r = {v: val - shift for v, val in r.items()}
-    return r
 
 
 def _named(csys: CompiledSystem, r: list[int]) -> dict[str, int]:
@@ -119,16 +116,54 @@ def _named(csys: CompiledSystem, r: list[int]) -> dict[str, int]:
     return {names[i]: r[i] for i in range(len(r))}
 
 
+def add_period_constraints(
+    cg: CompiledGraph,
+    csys: CompiledSystem,
+    sweep: KernelSweep,
+    r: list[int],
+    phi: float,
+    order,
+    paths: dict[tuple[int, int], list[int]] | None = None,
+) -> bool:
+    """Constrain every register-free path longer than *phi*.
+
+    For each vertex v of *order* whose Δ exceeds *phi*, the critical
+    path u ~> v of *sweep* (Δ at retiming *r*) must carry a register:
+    ``r(u) − r(v) ≤ w(p) − 1``, tagged ``period``.  Returns True iff a
+    constraint was added or tightened.  *paths*, when given, receives
+    the gate path (vertex ids, u first) of each such constraint.
+    """
+    delta = sweep.delta
+    is_mirror = cg.is_mirror
+    limit = phi + EPS
+    added = False
+    for v in order:
+        # mirrors are synthetic fanout vertices, not path ends
+        if delta[v] <= limit or is_mirror[v]:
+            continue
+        u = sweep.trace_start(v)
+        # register-free path u ~> v: original weight = r(u) − r(v)
+        if csys.add(u, v, r[u] - r[v] - 1, "period"):
+            added = True
+            if paths is not None:
+                paths[u, v] = sweep.path(v)
+    return added
+
+
 def _lazy_feasibility(
-    cg: CompiledGraph, phi: float, csys: CompiledSystem
+    cg: CompiledGraph,
+    phi: float,
+    csys: CompiledSystem,
+    paths: dict[tuple[int, int], list[int]] | None = None,
 ) -> tuple[list[int] | None, int, KernelSweep | None]:
     """Lazy feasibility of period *phi*; mutates *csys*.
 
     Returns ``(r, rounds, sweep)``: the host-normalised retiming (None
     when infeasible), the rounds used, and the final Δ sweep of ``r``.
+    *paths* is passed on to :func:`add_period_constraints`.
     """
     n = cg.n
-    is_mirror = cg.is_mirror
+    every_vertex = range(n)
     sweep: KernelSweep | None = None
     with obs.span("minperiod.feas", phi=phi) as span:
         for rounds in range(1, MAX_LAZY_ROUNDS + 1):
@@ -143,56 +178,26 @@ def _lazy_feasibility(
                 sweep = delta_sweep(cg, rg)
             else:
                 sweep = refresh(cg, sweep, rg)
-            delta = sweep.delta
-            added = False
-            limit = phi + EPS
-            for v in range(n):
-                # mirrors are synthetic fanout vertices, not path ends
-                if delta[v] <= limit or is_mirror[v]:
-                    continue
-                u = sweep.trace_start(v)
-                # register-free path u ~> v: original weight = r(u) − r(v)
-                bound = r[u] - r[v] - 1
-                if csys.add(u, v, bound):
-                    added = True
-            if not added:
+            if not add_period_constraints(
+                cg, csys, sweep, r, phi, every_vertex, paths
+            ):
                 obs.count("feas.passes", rounds)
                 span.set(rounds=rounds, feasible=True)
                 return r, rounds, sweep
     raise RuntimeError("lazy period-constraint generation did not converge")
 
 
-def mirror_constraints(system: DifferenceSystem, csys: CompiledSystem) -> None:
-    """Replay into *system* the constraints a lazy loop added to or
-    tightened in *csys*, the compiled copy of *system*, tagged
-    ``period``.  Insertion order carries over, so *system* iterates
-    its constraints in the same order as *csys*."""
-    names = csys.names
-    for (u, v), slot in csys.pair.items():
-        bound = csys.arc_b[slot]
-        if system.bound(names[u], names[v]) != bound:
-            system.add(names[u], names[v], bound, tag="period")
-
-
-def period_infeasible(
-    graph: RetimingGraph, phi: float, system: DifferenceSystem
-) -> InfeasibleConstraints:
-    """The structured error for an infeasible period *phi*, carrying a
-    negative cycle of the over-constrained *system* as its certificate."""
-    return InfeasibleConstraints(
-        f"period {phi} infeasible for {graph.name!r}",
-        system.negative_cycle() or (),
-        period=phi,
-    )
-
-
 def check_period(
     graph: RetimingGraph,
     phi: float,
-    system: DifferenceSystem,
+    system: CompiledSystem,
 ) -> FeasibilityResult:
     """Lazy feasibility of period *phi*; mutates *system* (adds period
     constraints, which remain valid for any smaller φ probe as well).
+
+    *system* is :func:`base_system` of *graph* (or a system grown from
+    it).  When *phi* is infeasible, ``system.negative_cycle()`` is the
+    certificate.
 
     Note on Maheshwari–Sapatnekar bounds pruning (which the paper
     expects to compose with the class constraints): lazy generation gets
@@ -202,14 +207,10 @@ def check_period(
     (:func:`repro.retime.dense.dense_period_system`), where constraints
     are materialised unconditionally.
     """
-    cg = compile_graph(graph)
-    csys = CompiledSystem.from_system(system, cg)
-    r, rounds, sweep = _lazy_feasibility(cg, phi, csys)
-    if rounds > 1:  # a first-round answer added nothing
-        mirror_constraints(system, csys)
+    r, rounds, sweep = _lazy_feasibility(compile_graph(graph), phi, system)
     if r is None:
         return FeasibilityResult(None, rounds, len(system))
-    return FeasibilityResult(_named(csys, r), rounds, len(system), sweep.period)
+    return FeasibilityResult(_named(system, r), rounds, len(system), sweep.period)
 
 
 def feasible_retiming(
@@ -218,27 +219,7 @@ def feasible_retiming(
     bounds: dict[str, tuple[int, int]] | None = None,
 ) -> dict[str, int] | None:
     """One-shot feasibility: a legal retiming with period ≤ φ, or None."""
-    system = base_system(graph, bounds)
-    return check_period(graph, phi, system).r
-
-
-def infeasibility_certificate(
-    graph: RetimingGraph,
-    phi: float,
-    bounds: dict[str, tuple[int, int]] | None = None,
-):
-    """Structured evidence that period *phi* is infeasible, or None.
-
-    Re-runs the lazy feasibility check (the exceptional error path) and
-    extracts the negative cycle from the resulting over-constrained
-    system.  Returns an unraised
-    :class:`~repro.retime.constraints.InfeasibleConstraints` ready for
-    the caller to raise, or None when *phi* is feasible.
-    """
-    system = base_system(graph, bounds)
-    if check_period(graph, phi, system).feasible:
-        return None
-    return period_infeasible(graph, phi, system)
+    return check_period(graph, phi, base_system(graph, bounds)).r
 
 
 def min_period(
@@ -264,7 +245,7 @@ def min_period(
         # a period constraint generated while probing φ1 remains valid for
         # every φ ≤ φ1 but can over-constrain larger φ probes, so each probe
         # starts from a fresh copy of the base system
-        base = CompiledSystem.from_system(base_system(graph, bounds), cg)
+        base = _base_system(cg, bounds)
         hi = start
         while hi - lo > eps:
             mid = (lo + hi) / 2.0

@@ -83,7 +83,12 @@ def _parse(netlist: str, fmt: str, name: str) -> Circuit:
     return read_blif(netlist, name_hint=name)
 
 
-@lru_cache(maxsize=128)
+# Four entries: a target-period sweep cycles through a few designs per
+# worker (the 1-worker sweep of benchmarks/bench_service.py through 4),
+# and an LRU cache smaller than that cycle never hits.  Served traffic
+# needs no more: the result cache answers resubmitted designs and every
+# ECO job ships new text, so further entries would only hold memory.
+@lru_cache(maxsize=4)
 def _parse_once(netlist: str, fmt: str, name: str) -> Circuit:
     """A worker's parse cache for the ``mcretime`` flow: the shard ring
     routes every job on one design to one worker, so a target-period

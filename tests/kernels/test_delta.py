@@ -1,33 +1,74 @@
-"""Kernel CP/Δ sweeps vs the dict ``compute_delta`` — bit-identical.
+"""CP/Δ sweeps against an independent longest-path oracle.
 
-Equality here is exact (floats included): the kernels replicate the
-dict sweep's iteration orders and float addition order, so the
-constraints the lazy loops generate do not depend on which one swept.
+Δ(v) is the largest delay of a register-free path ending at v.  The
+oracle computes it over networkx's topological order of the retimed
+zero-weight subgraph, with the same left-to-right float additions, so
+full sweeps and incremental refreshes must match it exactly; every
+critical path a sweep traces must be register-free and re-sum to its Δ.
 """
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.graph import HOST, GraphError, RetimingGraph
 from repro.kernels import compile_graph, delta_sweep, refresh
-from repro.retime.feas import compute_delta
 from repro.retime.minperiod import min_period
 from tests.retime.helpers import correlator, random_graph
+
+
+def _zero_subgraph(graph, r, through_host=None) -> nx.DiGraph:
+    """The zero-retimed-weight edges (host fanout only when the host is
+    combinational, or *through_host* says so)."""
+    if through_host is None:
+        through_host = graph.combinational_host
+    z = nx.DiGraph()
+    z.add_nodes_from(graph.vertices)
+    for e in graph.edges.values():
+        w = e.w + r.get(e.v, 0) - r.get(e.u, 0)
+        if w == 0 and (through_host or graph.vertices[e.u].kind != "host"):
+            z.add_edge(e.u, e.v)
+    return z
+
+
+def _oracle_delta(graph, r, through_host=None) -> dict[str, float]:
+    """Longest register-free path delay ending at each vertex."""
+    z = _zero_subgraph(graph, r, through_host)
+    delta: dict[str, float] = {}
+    for v in nx.topological_sort(z):
+        best = max([0.0, *(delta[u] for u in z.predecessors(v))])
+        delta[v] = best + graph.vertices[v].delay
+    return delta
+
+
+def _assert_sweep_is_exact(graph, cg, sweep, r_dict, through_host=None):
+    """Δ equals the oracle bit for bit; the order is topological; every
+    critical path is register-free, starts at ``trace_start`` and
+    re-sums to its Δ."""
+    z = _zero_subgraph(graph, r_dict, through_host)
+    expected = _oracle_delta(graph, r_dict, through_host)
+    names = cg.names
+    assert {names[i]: d for i, d in enumerate(sweep.delta)} == expected
+    assert sweep.period == max(expected.values(), default=0.0)
+    order = sweep.topo_order(cg, through_host)
+    position = {names[v]: k for k, v in enumerate(order)}
+    assert sorted(position) == sorted(graph.vertices)
+    assert all(position[u] < position[v] for u, v in z.edges)
+    for v in range(cg.n):
+        path = sweep.path(v)
+        assert path[0] == sweep.trace_start(v) and path[-1] == v
+        assert all(z.has_edge(names[a], names[b]) for a, b in zip(path, path[1:]))
+        acc = 0.0
+        for i in path:
+            acc += cg.delay[i]
+        assert acc == sweep.delta[v]
 
 
 def _assert_sweeps_equal(graph, r_dict):
     cg = compile_graph(graph)
     ks = delta_sweep(cg, cg.r_array(r_dict))
-    ds = compute_delta(graph, r_dict)
-    assert {cg.names[i]: ks.delta[i] for i in range(cg.n)} == ds.delta
-    pred = {
-        cg.names[i]: (cg.names[p] if p >= 0 else None)
-        for i, p in enumerate(ks.pred)
-    }
-    assert pred == ds.pred
-    assert [cg.names[i] for i in ks.order] == ds.order
-    assert ks.period == ds.period
+    _assert_sweep_is_exact(graph, cg, ks, r_dict)
     return cg, ks
 
 
@@ -53,12 +94,18 @@ def test_random_graphs_zero_and_retimed(seed):
 
 
 def test_trace_start_matches_dict():
+    """Each vertex's traced critical path starts where no zero edge
+    reaches it and re-sums (from 0.0, left to right) to its Δ."""
     g = correlator()
-    cg = compile_graph(g)
-    ks = delta_sweep(cg, [0] * cg.n)
-    ds = compute_delta(g, {})
-    for i, name in enumerate(cg.names):
-        assert cg.names[ks.trace_start(i)] == ds.trace_start(name)
+    cg, ks = _assert_sweeps_equal(g, {})
+    z = _zero_subgraph(g, {})
+    for v in range(cg.n):
+        start = cg.names[ks.trace_start(v)]
+        assert ks.delta[cg.index[start]] == cg.delay[cg.index[start]]
+        assert z.in_degree(start) == 0 or all(
+            ks.delta[cg.index[u]] == 0.0 for u in z.predecessors(start)
+        )
+    assert cg.names[ks.trace_start(cg.index["v7"])] == "v4"
 
 
 def test_refresh_no_change_returns_same_sweep():
@@ -97,6 +144,7 @@ def test_refresh_equals_full_sweep(seed, monkeypatch):
         r[cg.index[name]] = 1
         inc = refresh(cg, base, r)
         full = delta_sweep(cg, r)
+        _assert_sweep_is_exact(g, cg, inc, {name: 1})
         assert inc.delta == full.delta
         assert inc.pred == full.pred
         assert inc.r == full.r
@@ -114,6 +162,7 @@ def test_refresh_equals_full_sweep_large_graph():
         full = delta_sweep(cg, r)
         assert inc.delta == full.delta
         assert inc.pred == full.pred
+        assert inc.delta == [_oracle_delta(g, {name: 1})[v] for v in cg.names]
 
 
 def test_refresh_multi_vertex_change(monkeypatch):
@@ -127,6 +176,7 @@ def test_refresh_multi_vertex_change(monkeypatch):
     r = cg.r_array(best.r)
     inc = refresh(cg, base, r)  # may fall back to a full sweep: still exact
     full = delta_sweep(cg, r)
+    _assert_sweep_is_exact(g, cg, inc, best.r)
     assert inc.delta == full.delta
     assert inc.pred == full.pred
 
@@ -215,14 +265,13 @@ def test_refresh_extra_seeds_propagates_delay_patch(monkeypatch):
 
 
 def test_negative_weight_error_is_identical():
+    """The first negative retimed weight is named, in edge order."""
     g = correlator()
     cg = compile_graph(g)
     r_dict = {"v5": -1}  # v4->v5 has w=0: retimed weight -1
-    with pytest.raises(GraphError) as dict_err:
-        compute_delta(g, r_dict)
-    with pytest.raises(GraphError) as kernel_err:
+    with pytest.raises(GraphError) as err:
         delta_sweep(cg, cg.r_array(r_dict))
-    assert str(kernel_err.value) == str(dict_err.value)
+    assert str(err.value) == "negative retimed weight on v4->v5 (w=-1)"
 
 
 def test_cyclic_zero_subgraph_error_is_identical():
@@ -232,11 +281,10 @@ def test_cyclic_zero_subgraph_error_is_identical():
     g.add_edge("a", "b", 0)
     g.add_edge("b", "a", 0)
     cg = compile_graph(g)
-    with pytest.raises(GraphError) as dict_err:
-        compute_delta(g, {})
-    with pytest.raises(GraphError) as kernel_err:
+    assert not nx.is_directed_acyclic_graph(_zero_subgraph(g, {}))
+    with pytest.raises(GraphError) as err:
         delta_sweep(cg, [0, 0])
-    assert str(kernel_err.value) == str(dict_err.value)
+    assert str(err.value) == "zero-weight subgraph is cyclic"
 
 
 def test_host_edges_skipped_unless_combinational():
@@ -245,27 +293,22 @@ def test_host_edges_skipped_unless_combinational():
     _assert_sweeps_equal(g, {})
     cg = compile_graph(g)
     assert not cg.through_host
-    # explicit override mirrors the dict through_host argument
+    # the explicit override sweeps through the host's fanout too
     ks = delta_sweep(cg, [0] * cg.n, through_host=True)
-    ds = compute_delta(g, {}, through_host=True)
-    assert {cg.names[i]: ks.delta[i] for i in range(cg.n)} == ds.delta
-
-
-def test_order_reuse_in_dict_engine():
-    """compute_delta accepts a prior topological order and must produce
-    the identical sweep with or without it; stale orders are rejected."""
-    g = random_graph(8, n_vertices=12, n_edges=26)
-    fresh = compute_delta(g, {})
-    again = compute_delta(g, {}, order=fresh.order)
-    assert again.delta == fresh.delta
-    assert again.pred == fresh.pred
-    assert again.order == fresh.order
-    # an order from a different retiming may be stale: result still exact
-    best = min_period(g)
-    moved = compute_delta(g, best.r, order=fresh.order)
-    reference = compute_delta(g, best.r)
-    assert moved.delta == reference.delta
-    assert moved.pred == reference.pred
-    # wrong length / unknown names fall back cleanly too
-    short = compute_delta(g, {}, order=fresh.order[:-1])
-    assert short.delta == fresh.delta
+    _assert_sweep_is_exact(g, cg, ks, {}, through_host=True)
+    # a register-free PO -> host -> PI path counts only through the host
+    io = RetimingGraph("io")
+    io.add_host()
+    io.add_vertex("a", 1.0)
+    io.add_vertex("b", 2.0)
+    io.add_edge(HOST, "a", 0)
+    io.add_edge("a", "b", 1)
+    io.add_edge("b", HOST, 0)
+    io.combinational_host = False
+    cg = compile_graph(io)
+    skipped = delta_sweep(cg, [0] * cg.n)
+    through = delta_sweep(cg, [0] * cg.n, through_host=True)
+    _assert_sweep_is_exact(io, cg, skipped, {})
+    _assert_sweep_is_exact(io, cg, through, {}, through_host=True)
+    assert skipped.delta[cg.index["a"]] == 1.0
+    assert through.delta[cg.index["a"]] == 3.0

@@ -71,6 +71,40 @@ class TestEngine:
         with pytest.raises(InfeasibleError):
             mc_retime(deep_enable_pipeline(), target_period=0.5)
 
+    def test_infeasible_minperiod_target_certified_by_one_check(self):
+        """An infeasible min-period target is decided and certified by a
+        single lazy feasibility run: its grown system yields the
+        negative cycle, the check is not re-run to find one."""
+        from pathlib import Path
+
+        from repro import obs
+        from repro.netlist import read_blif
+        from repro.retime.constraints import InfeasibleConstraints
+
+        data = Path(__file__).resolve().parent.parent / "data"
+        circuit = read_blif((data / "c3_small.blif").read_text())
+        tracer = obs.start()
+        try:
+            with pytest.raises(InfeasibleConstraints) as err:
+                mc_retime(circuit, objective="minperiod", target_period=0.5)
+        finally:
+            obs.stop()
+        assert tracer.span_counts()["minperiod.feas"] == 1
+        assert str(err.value) == "target period 0.5 infeasible for 'C3'"
+        assert err.value.certificate() == {
+            "kind": "negative_cycle",
+            "period": 0.5,
+            "sum": -1,
+            "constraints": [
+                {
+                    "u": "lut$en2_net",
+                    "v": "lut$en2_net",
+                    "bound": -1,
+                    "tag": "period",
+                }
+            ],
+        }
+
     def test_mixed_classes_restrict(self):
         """With two different enables, registers cannot merge across the
         class boundary: the engine must respect the bounds."""

@@ -3,69 +3,89 @@
 import networkx as nx
 import pytest
 
-from repro.kernels import IntMinCostFlow
+from repro.kernels import CompiledSystem, IntMinCostFlow
 from repro.kernels.mcf import FlowInfeasibleError
-from repro.retime import DifferenceSystem
+
+
+def system(*names):
+    """An empty system over *names* (more are declared on first use)."""
+    return CompiledSystem(list(names), {n: i for i, n in enumerate(names)})
+
+
+def solution(s):
+    """The solved system as a name -> value dict (None if infeasible)."""
+    r = s.solve()
+    return None if r is None else dict(zip(s.names, r))
+
+
+def violated(s, r):
+    """Constraints of *s* that the name-keyed assignment *r* violates."""
+    return [c for c in s if r.get(c.u, 0) - r.get(c.v, 0) > c.bound]
 
 
 class TestDifferenceSystem:
     def test_simple_solution(self):
-        s = DifferenceSystem(["a", "b"])
-        s.add("a", "b", 2)  # r(a) - r(b) <= 2
-        r = s.solve()
+        s = system("a", "b")
+        s.add_named("a", "b", 2)  # r(a) - r(b) <= 2
+        r = solution(s)
         assert r is not None
         assert r["a"] - r["b"] <= 2
 
     def test_negative_cycle_detected(self):
-        s = DifferenceSystem()
-        s.add("a", "b", -1)
-        s.add("b", "a", -1)
+        s = system()
+        s.add_named("a", "b", -1)
+        s.add_named("b", "a", -1)
         assert s.solve() is None
 
     def test_negative_self_loop(self):
-        s = DifferenceSystem()
-        s.add("a", "a", -1)
+        s = system()
+        s.add_named("a", "a", -1)
         assert s.solve() is None
 
     def test_vacuous_self_loop_dropped(self):
-        s = DifferenceSystem()
-        assert not s.add("a", "a", 0)
-        assert s.solve() == {"a": 0}
+        s = system()
+        assert not s.add_named("a", "a", 0)
+        assert solution(s) == {"a": 0}
 
     def test_tightening(self):
-        s = DifferenceSystem()
-        assert s.add("a", "b", 5)
-        assert not s.add("a", "b", 7)  # looser: ignored
-        assert s.add("a", "b", 3)  # tighter: kept
-        assert s.bound("a", "b") == 3
+        s = system()
+        assert s.add_named("a", "b", 5, "circuit")
+        assert not s.add_named("a", "b", 7, "pin")  # looser: ignored
+        assert s.add_named("a", "b", 3, "period")  # tighter: kept
+        assert [(c.u, c.v, c.bound, c.tag) for c in s] == [
+            ("a", "b", 3, "period")
+        ]
 
     def test_chain_propagation(self):
-        s = DifferenceSystem()
-        s.add("a", "b", -2)  # r(a) <= r(b) - 2
-        s.add("b", "c", -3)
-        r = s.solve()
+        s = system()
+        s.add_named("a", "b", -2)  # r(a) <= r(b) - 2
+        s.add_named("b", "c", -3)
+        r = solution(s)
         assert r["a"] - r["c"] <= -5
 
     def test_check_reports_violations(self):
-        s = DifferenceSystem()
-        s.add("a", "b", 1)
-        assert s.check({"a": 5, "b": 0})[0].bound == 1
-        assert s.check({"a": 1, "b": 0}) == []
+        s = system()
+        s.add_named("a", "b", 1)
+        a, b = s.index["a"], s.index["b"]
+        assert s.violated([5, 0]) == [(a, b, 1)]
+        assert s.violated([1, 0]) == []
+        assert violated(s, {"a": 5, "b": 0})[0].bound == 1
 
     def test_copy_independent(self):
-        s = DifferenceSystem()
-        s.add("a", "b", 1)
+        s = system()
+        s.add_named("a", "b", 1)
         t = s.copy()
-        t.add("a", "b", 0)
-        assert s.bound("a", "b") == 1
+        t.add_named("a", "b", 0)
+        assert [c.bound for c in s] == [1]
+        assert [c.bound for c in t] == [0]
 
     def test_solution_satisfies_all(self):
-        s = DifferenceSystem()
+        s = system()
         edges = [("a", "b", 3), ("b", "c", -1), ("c", "a", 0), ("a", "c", 4)]
         for u, v, b in edges:
-            s.add(u, v, b)
-        r = s.solve()
-        assert s.check(r) == []
+            s.add_named(u, v, b)
+        r = solution(s)
+        assert violated(s, r) == []
 
 
 def network(supply, arcs):

@@ -78,7 +78,6 @@ class TestBoundsPruning:
 
     def test_pruning_preserves_optimum(self):
         from repro.retime.dense import dense_period_system
-        from repro.retime.minperiod import _solve_normalized
 
         g = random_graph(42, n_vertices=8, n_edges=16)
         bounds = {v: (-1, 1) for v in g.gate_vertices()}
@@ -89,8 +88,9 @@ class TestBoundsPruning:
         assert len(pruned) + pruned.pruned_constraints == len(full)
         # both systems admit solutions achieving the same period
         for system in (pruned, full):
-            r = _solve_normalized(system)
-            assert r is not None
+            dist = system.solve()
+            assert dist is not None
+            r = dict(zip(system.names, system.normalized(dist)))
             assert clock_period(g, r) <= phi + 1e-9
 
     def test_tight_bounds_prune_everything(self):

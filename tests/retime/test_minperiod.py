@@ -3,10 +3,10 @@
 import pytest
 
 from repro.graph import HOST, GraphError, RetimingGraph
+from repro.kernels import compile_graph, delta_sweep
 from repro.retime import (
     candidate_periods,
     clock_period,
-    compute_delta,
     feas,
     feasible_retiming,
     min_period,
@@ -15,26 +15,36 @@ from repro.retime import (
 from .helpers import correlator, legal, random_graph
 
 
+def sweep_of(graph, r=None):
+    """The CP sweep of *graph* at retiming *r*, with name-keyed views."""
+    cg = compile_graph(graph)
+    sweep = delta_sweep(cg, cg.r_array(r))
+    delta = {cg.names[i]: d for i, d in enumerate(sweep.delta)}
+
+    def trace_start(name):
+        return cg.names[sweep.trace_start(cg.index[name])]
+
+    return sweep, delta, trace_start
+
+
 class TestDelta:
     def test_correlator_period_24(self):
         assert clock_period(correlator()) == pytest.approx(24.0)
 
     def test_delta_values(self):
-        g = correlator()
-        sweep = compute_delta(g)
-        assert sweep.delta["v4"] == pytest.approx(3.0)
-        assert sweep.delta["v7"] == pytest.approx(24.0)
+        _, delta, _ = sweep_of(correlator())
+        assert delta["v4"] == pytest.approx(3.0)
+        assert delta["v7"] == pytest.approx(24.0)
 
     def test_trace_start(self):
-        g = correlator()
-        sweep = compute_delta(g)
-        assert sweep.trace_start("v7") == "v4"
+        _, _, trace_start = sweep_of(correlator())
+        assert trace_start("v7") == "v4"
 
     def test_retimed_delta(self):
         g = correlator()
         r = feasible_retiming(g, 13.0)
         assert r is not None
-        sweep = compute_delta(g, r)
+        sweep, _, _ = sweep_of(g, r)
         assert sweep.period <= 13.0 + 1e-9
         # the adder chain (7+7+7 = 21) must have been broken
         assert any(
@@ -46,7 +56,7 @@ class TestDelta:
     def test_negative_weight_rejected(self):
         g = correlator()
         with pytest.raises(GraphError):
-            compute_delta(g, {"v5": 5})
+            clock_period(g, {"v5": 5})
 
     def test_zero_weight_cycle_rejected(self):
         g = RetimingGraph()
@@ -55,7 +65,7 @@ class TestDelta:
         g.add_edge("a", "b", 0)
         g.add_edge("b", "a", 0)
         with pytest.raises(GraphError):
-            compute_delta(g)
+            clock_period(g)
 
 
 class TestFeas:
