@@ -48,11 +48,7 @@ from ..kernels.delta import _REFRESH_FRACTION
 from ..mcretime import MCRetimeResult, mc_retime
 from ..mcretime.bounds import compute_bounds
 from ..mcretime.classes import Classifier
-from ..mcretime.engine import (
-    _real_r,
-    _verify_reset_requirements,
-    solve_and_relocate,
-)
+from ..mcretime.engine import _verify_reset_requirements, solve_and_relocate
 from ..mcretime.relocate import (
     JustificationConflict,
     RelocationDeadlock,
@@ -235,16 +231,16 @@ def _periods(
     Starts from the base's r=0 sweep, patches the edit's delay changes
     in (``extra_seeds`` drives the forward-cone re-sweep), then moves
     to the solved retiming.  The kernel refresh is provably equal to a
-    full :func:`~repro.kernels.delta_sweep`, the sweep ``clock_period``
-    runs — so both values equal a cold solve's ``clock_period`` results
-    exactly.
+    full :func:`~repro.kernels.delta_sweep`, the sweep a cold
+    :func:`~repro.mcretime.mc_retime` runs — so both values equal a
+    cold solve's ``period_before``/``period_after`` exactly.
     """
     cg = patch_compiled_delays(state.graph_cg, updates)
     zeros = [0] * cg.n
     before = refresh(
         cg, state.zero_sweep, zeros, extra_seeds=set(updates)
     )
-    r_list = cg.r_array(_real_r(state.graph, full_r))
+    r_list = cg.r_array(full_r)
     after = refresh(cg, before, r_list)
     return before.period, after.period
 

@@ -25,7 +25,7 @@ from ..logic.simulate import eval_nets
 from ..logic.ternary import TX
 from ..netlist import Circuit
 from ..retime.constraints import InfeasibleConstraints
-from ..retime.feas import clock_period
+from ..kernels import compile_graph, delta_sweep
 from ..retime.minarea import min_area
 from ..retime.minperiod import base_system, check_period, min_period
 from .bounds import compute_bounds
@@ -253,7 +253,10 @@ def mc_retime(
         work_bounds = dict(transform.bounds)
     timings["sharing"] = sp.duration
 
-    period_before = clock_period(graph)
+    # nothing below mutates `graph` (the solvers work on copies), so
+    # one snapshot serves both period sweeps
+    cg = compile_graph(graph)
+    period_before = delta_sweep(cg, cg.r_array(None)).period
     solved = solve_and_relocate(
         circuit,
         classifier,
@@ -294,7 +297,7 @@ def mc_retime(
         steps_moved=reloc.steps_moved,
         steps_possible=bounds.steps_possible,
         period_before=period_before,
-        period_after=clock_period(graph, _real_r(graph, r)),
+        period_after=delta_sweep(cg, cg.r_array(r)).period,
         ff_before=len(circuit.registers),
         ff_after=len(reloc.circuit.registers),
         stats=solved.stats.merged(reloc.stats),
@@ -304,11 +307,6 @@ def mc_retime(
         explanation=explanation,
     )
     return result
-
-
-def _real_r(graph, r: dict[str, int]) -> dict[str, int]:
-    """Restrict a solution to the vertices of the original graph."""
-    return {v: r.get(v, 0) for v in graph.vertices}
 
 
 def _verify_reset_requirements(

@@ -158,6 +158,11 @@ class Circuit:
         self._driver[new_output] = ("gate", gate.name)
         self._invalidate()
 
+    def set_gate_input(self, gate: Gate, pin: int, net: str) -> None:
+        """Connect input *pin* of *gate* to *net*."""
+        gate.inputs[pin] = net
+        self._invalidate()
+
     def replace_net(self, old: str, new: str) -> int:
         """Substitute every *use* of net ``old`` by ``new``.
 

@@ -88,7 +88,7 @@ def collapse_buffers(circuit: Circuit) -> int:
             folded = ((g >> (h & 1)) & 1) | (((g >> ((h >> 1) & 1)) & 1) << 1)
             gate.fn = GateFn.LUT
             gate.table = folded
-            gate.inputs[0] = driver.inputs[0]
+            circuit.set_gate_input(gate, 0, driver.inputs[0])
             changes += 1
             driver = circuit.driver_gate(gate.inputs[0])
     for gate in list(circuit.gates.values()):

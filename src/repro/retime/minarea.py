@@ -17,15 +17,11 @@ repeat until clean.
 The loop runs on the compiled structures of :mod:`repro.kernels`: the
 difference system solves incrementally between lazy rounds, the LP dual
 runs on the integer-node flow kernel, and Δ sweeps run on the compiled
-graph.  The LP usually has several optimal duals, and which one the
-flow returns is decided by Dijkstra's tie-breaking, so by node and arc
-order:
-
-* node ids follow the system's variable declaration order, and arcs
-  follow its constraint order;
-* period constraints therefore enter the system in the topological
-  order of each round's full Δ sweep.  Min-area uses full (not
-  incremental) sweeps for that order; the lazy rounds here are few.
+graph.  The LP usually has several optimal solutions; every round
+returns the same canonical one, the componentwise-minimal non-negative
+optimal r, host-normalised (:func:`canonical_r`), so the answer depends
+neither on the flow algorithm nor on the order constraints were added
+in.
 
 The returned objective is the Leiserson–Saxe *shared* register count of
 the retimed graph (mirror-vertex model), which for multi-class graphs
@@ -73,7 +69,8 @@ class AreaLoop:
     system: CompiledSystem
     #: The last round's solved LP dual.
     flow: IntMinCostFlow
-    #: Optimal host-normalised retiming, indexed like ``system.names``.
+    #: Canonical optimal host-normalised retiming, indexed like
+    #: ``system.names``.
     r: list[int]
     rounds: int
 
@@ -94,7 +91,8 @@ def solve_lp(
 ) -> tuple[list[int], IntMinCostFlow] | None:
     """One LP solve: min Σ c·r subject to *csys*; None if infeasible.
 
-    Returns the host-normalised solution and the solved flow network.
+    Returns the canonical host-normalised optimum (:func:`canonical_r`)
+    and the solved flow network.
     """
     dist = csys.solve()
     if dist is None:
@@ -107,11 +105,27 @@ def solve_lp(
         add_arc(arc_u[slot], arc_v[slot], arc_b[slot])
     # π = −r0 gives non-negative reduced costs for every constraint arc
     flow.solve(initial_potentials=[-d for d in dist])
-    r = [-int(round(p)) for p in flow.potential]
-    shift = r[csys.host] if csys.host >= 0 else 0
-    if shift:
-        r = [val - shift for val in r]
-    return r, flow
+    return canonical_r(csys, flow), flow
+
+
+def canonical_r(csys: CompiledSystem, flow: IntMinCostFlow) -> list[int]:
+    """The minimal non-negative optimal r of a solved LP, host-normalised.
+
+    By complementary slackness, the optimal duals of *any* optimal flow
+    are exactly the potentials π with no negative reduced cost on its
+    residual graph: π(v) − π(u) ≤ b for every constraint arc u→v of
+    bound b, and π(u) − π(v) ≤ −b for every arc carrying flow.  That
+    set does not depend on which optimal flow was found, and its
+    maximal non-positive element — the difference-system solution
+    Bellman-Ford computes — is unique.  r = −π.
+    """
+    dual = CompiledSystem(csys.names, csys.index)
+    add = dual.add
+    for u, v, b, f in flow.arcs():
+        add(v, u, b)
+        if f:
+            add(u, v, -b)
+    return csys.normalized([-p for p in dual.solve()])
 
 
 def lazy_min_area(
@@ -146,13 +160,7 @@ def lazy_min_area(
                 raise RuntimeError(f"LP solution violates {shown}")
         with obs.span("minarea.sweep", round=rounds):
             sweep = delta_sweep(cg, r[:n])
-            # constraints enter in topo order (see the module docstring);
-            # topo_order() rather than .order — the latter is None on
-            # refreshed sweeps, and this loop must stay safe if the sweep
-            # above ever becomes incremental
-            added = add_period_constraints(
-                cg, csys, sweep, r, phi, sweep.topo_order(cg)
-            )
+            added = add_period_constraints(cg, csys, sweep, r, phi)
         if not added:
             return AreaLoop(csys, flow, r, rounds)
     raise RuntimeError("lazy period-constraint generation did not converge")

@@ -122,12 +122,11 @@ def add_period_constraints(
     sweep: KernelSweep,
     r: list[int],
     phi: float,
-    order,
     paths: dict[tuple[int, int], list[int]] | None = None,
 ) -> bool:
     """Constrain every register-free path longer than *phi*.
 
-    For each vertex v of *order* whose Δ exceeds *phi*, the critical
+    For each vertex v (by id) whose Δ exceeds *phi*, the critical
     path u ~> v of *sweep* (Δ at retiming *r*) must carry a register:
     ``r(u) − r(v) ≤ w(p) − 1``, tagged ``period``.  Returns True iff a
     constraint was added or tightened.  *paths*, when given, receives
@@ -137,7 +136,7 @@ def add_period_constraints(
     is_mirror = cg.is_mirror
     limit = phi + EPS
     added = False
-    for v in order:
+    for v in range(cg.n):
         # mirrors are synthetic fanout vertices, not path ends
         if delta[v] <= limit or is_mirror[v]:
             continue
@@ -163,7 +162,6 @@ def _lazy_feasibility(
     *paths* is passed on to :func:`add_period_constraints`.
     """
     n = cg.n
-    every_vertex = range(n)
     sweep: KernelSweep | None = None
     with obs.span("minperiod.feas", phi=phi) as span:
         for rounds in range(1, MAX_LAZY_ROUNDS + 1):
@@ -178,9 +176,7 @@ def _lazy_feasibility(
                 sweep = delta_sweep(cg, rg)
             else:
                 sweep = refresh(cg, sweep, rg)
-            if not add_period_constraints(
-                cg, csys, sweep, r, phi, every_vertex, paths
-            ):
+            if not add_period_constraints(cg, csys, sweep, r, phi, paths):
                 obs.count("feas.passes", rounds)
                 span.set(rounds=rounds, feasible=True)
                 return r, rounds, sweep

@@ -23,19 +23,26 @@ def wd_from_source(
 
     D includes the delay of both endpoints, matching the paper.  Unless
     the graph models a combinational environment, paths are not allowed
-    to continue *through* the host (they may still end there).
+    to continue *through* the host: they may start there and end there,
+    and a path that returns to the host ends.  So when *source* is the
+    host, ``(W, D)(host, host)`` is the trivial path unless a
+    register-free cycle runs through the host; then W is 0 and D is the
+    largest delay of such a cycle — a primary-input-to-output path that
+    no retiming can cut, because the host is pinned.
     """
     if through_host is None:
         through_host = graph.combinational_host
     d_src = graph.vertices[source].delay
     best: dict[str, tuple[int, float]] = {source: (0, d_src)}
     heap: list[tuple[int, float, str]] = [(0, -d_src, source)]
+    start = True  # the first entry popped is the source itself
     while heap:
         w, neg_d, u = heapq.heappop(heap)
         if (w, -neg_d) != best.get(u, (None, None)):
             continue
-        if not through_host and u != source and graph.vertices[u].kind == "host":
+        if not (start or through_host) and graph.vertices[u].kind == "host":
             continue
+        start = False
         for edge in graph.out_edges(u):
             v = edge.v
             nw = w + edge.w

@@ -521,7 +521,7 @@ class RetimeService:
                 # retries overwrite: the request timeline shows the
                 # dispatch that actually produced the result
                 trace.update(
-                    dispatch_wall=time.time(),
+                    dispatch_wall=info["dispatch_wall"],
                     queued_s=queued,
                     shard=info.get("shard"),
                     worker=info.get("worker"),
@@ -615,8 +615,9 @@ class RetimeService:
           shard, pool admission;
         * ``request.queue`` (id 3) — admission-queue wait (from the
           pool's ``queued_seconds``), stamped with shard/worker/stolen;
-        * ``request.dispatch`` (id 4) — dispatch to completion; the
-          worker's spans re-parent under this id via the trace context.
+        * ``request.dispatch`` (id 4) — from the pool's dequeue (its
+          ``dispatch_wall``) to completion; the worker's spans
+          re-parent under this id via the trace context.
 
         Best-effort: a full disk must never fail a completed job.
         """

@@ -470,6 +470,10 @@ class RetimePool:
                 entry.attempts = attempt
                 payload = entry.job.to_dict()
                 queued_s = time.monotonic() - entry.submitted_at
+                # the same instant, so the request timeline's queue span
+                # ends where its dispatch span starts (stamping after the
+                # hand-off below left a gap there)
+                dispatch_wall = time.time()
                 worker.held = (job_id, attempt, time.monotonic())
                 stats = self._shard_stats[worker.slot]
                 stats.dispatched += 1
@@ -483,6 +487,7 @@ class RetimePool:
                 worker=worker.slot,
                 stolen=stolen,
                 queued_seconds=queued_s,
+                dispatch_wall=dispatch_wall,
             )
 
     def _handle_result(self, kind, pid, job_id, attempt, payload) -> None:

@@ -14,17 +14,18 @@ import random
 import networkx as nx
 import pytest
 
+from repro import obs
 from repro.kernels import IntMinCostFlow
 from repro.kernels.mcf import INF, FlowInfeasibleError
 
 
-def _network(seed: int, n: int = 8):
+def _network(seed: int, n: int = 8, max_amount: int = 4):
     """A random feasible network; returns (flow, supply, capacities)."""
     rng = random.Random(seed)
     supply = [0] * n
     for _ in range(3):
         a, b = rng.sample(range(n), 2)
-        amount = rng.randint(1, 4)
+        amount = rng.randint(1, max_amount)
         supply[a] += amount
         supply[b] -= amount
     arcs = []
@@ -74,6 +75,19 @@ def test_matches_networkx_with_optimal_potentials(seed):
     flow.solve()
     assert total_cost(flow) == networkx_cost(supply, flow, caps)
     assert_optimal_potentials(flow, caps)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_large_supplies_route_multi_unit_paths(seed):
+    """Supplies of tens of units: still optimal, and an augmenting path
+    carries as many units as its bottleneck allows, not one."""
+    flow, supply, caps = _network(seed + 100, n=10, max_amount=40)
+    with obs.session() as tracer:
+        flow.solve()
+    assert total_cost(flow) == networkx_cost(supply, flow, caps)
+    assert_optimal_potentials(flow, caps)
+    units = sum(s for s in supply if s > 0)
+    assert tracer.counters["mcf.augmentations"] < units
 
 
 @pytest.mark.parametrize("seed", range(4))

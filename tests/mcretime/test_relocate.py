@@ -319,7 +319,7 @@ class TestInheritedRequirementAtOutputNet:
         not just the removed register's X (found on C6 at scale 0.25 by
         the engine's post-relocation verification)."""
         from repro.mcretime import Classifier
-        from repro.mcretime.relocate import _try_backward
+        from repro.mcretime.relocate import _Readers, _try_backward
         from repro.mcretime.reset import JustificationStats
 
         c = Circuit("inherit")
@@ -332,7 +332,7 @@ class TestInheritedRequirementAtOutputNet:
         requirements = {"R": frozenset({("n1", TX, T0)})}
         stats = JustificationStats()
         ok = _try_backward(
-            c, c.gates["g"], Classifier(c), requirements, stats, {}
+            _Readers(c), c.gates["g"], Classifier(c), requirements, stats, {}
         )
         assert ok
         avals = sorted(
@@ -386,3 +386,60 @@ class TestGlobalJustificationSoundness:
         fig = figure5()
         assert fig.equivalent
         assert fig.global_steps == 1
+
+
+class TestReadersAfterRewiring:
+    """Pin rewrites must not leave the circuit's reader index stale.
+
+    A forward step bypasses its source registers and then asks whether
+    each is still read; a reader index built before the rewrite kept an
+    unread register alive.
+    """
+
+    def test_index_matches_a_full_rebuild(self):
+        """Relocation's patched reader index lists every net's readers
+        exactly as a rebuilt :meth:`Circuit.readers` does, in the same
+        order (a backward step takes the first one as its template)."""
+        from repro.mcretime.relocate import _Readers
+
+        c = Circuit("index")
+        for net in ("clk", "en", "a", "b"):
+            c.add_input(net)
+        c.add_gate(GateFn.AND, ["a", "b"], "n1", name="g1")
+        g2 = c.add_gate(GateFn.OR, ["n1", "a"], "n2", name="g2")
+        r1 = c.add_register(d="n2", q="q1", clk="clk", en="en", name="r1")
+        c.add_gate(GateFn.XOR, ["q1", "n1"], "y", name="g3")
+        c.add_output("y")
+        c.add_output("q1")
+        readers = _Readers(c)
+
+        def assert_fresh():
+            for net in c.nets():
+                assert readers.of(net) == c.readers(net), net
+
+        assert_fresh()
+        r2 = readers.add_register(d="n1", clk="clk", en="en")
+        readers.set_gate_input(g2, 0, r2.q)
+        assert_fresh()
+        readers.replace_net("q1", "n2")  # a gate pin and an output move
+        assert_fresh()
+        readers.remove_register(r1)
+        assert_fresh()
+
+    def test_modmul6_keeps_no_unread_register(self):
+        from repro.flows import baseline_flow
+        from repro.mcretime import mc_retime
+        from repro.synth import build_datapath
+        from repro.timing import XC4000E_DELAY
+
+        mapped = baseline_flow(
+            build_datapath("MODMUL6").circuit, XC4000E_DELAY
+        ).circuit
+        out = mc_retime(mapped, delay_model=XC4000E_DELAY).circuit
+        # every net something reads, gathered without the reader index
+        read = set(out.outputs)
+        for gate in out.gates.values():
+            read.update(gate.inputs)
+        for reg in out.registers.values():
+            read.update((reg.d, reg.clk, reg.en, reg.sr, reg.ar))
+        assert [r.name for r in out.registers.values() if r.q not in read] == []

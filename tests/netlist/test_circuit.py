@@ -84,6 +84,13 @@ class TestConstruction:
 
 
 class TestSurgery:
+    def test_set_gate_input_refreshes_readers(self):
+        c = small_circuit()
+        assert ("gate", "g1", 0) in c.readers("a")  # index now built
+        c.set_gate_input(c.gates["g1"], 0, "b")
+        assert ("gate", "g1", 0) not in c.readers("a")
+        assert ("gate", "g1", 0) in c.readers("b")
+
     def test_remove_gate(self):
         c = small_circuit()
         c.remove_gate("g3")

@@ -1,10 +1,13 @@
 """Tests for the sharing model and min-cost-flow min-area retiming."""
 
 import itertools
+import random
 
+import networkx as nx
 import pytest
 
 from repro.graph import HOST, RetimingGraph
+from repro.kernels import CompiledSystem
 from repro.retime import (
     InfeasibleError,
     build_sharing_model,
@@ -13,6 +16,7 @@ from repro.retime import (
     min_period,
     shared_register_count,
 )
+from repro.retime.minarea import lazy_min_area, lp_supply, solve_lp
 
 from .helpers import correlator, legal, random_graph
 
@@ -151,3 +155,56 @@ class TestMinArea:
         phi0 = clock_period(g)
         result = min_area(g, phi0)
         assert result.registers <= before
+
+
+class TestCanonicalOptimum:
+    """``solve_lp`` returns one optimum, whatever found the flow."""
+
+    @staticmethod
+    def final_lp(seed: int) -> tuple[CompiledSystem, list[int]]:
+        """The last lazy round's system and supplies for a random graph."""
+        g = random_graph(seed, n_vertices=9, n_edges=18)
+        model = build_sharing_model(g)
+        loop = lazy_min_area(g, min_period(g).phi, None, model)
+        return loop.system, lp_supply(loop.system, model)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_unchanged_under_shuffled_insertion(self, seed):
+        csys, supply = self.final_lp(seed)
+        r, _ = solve_lp(csys, supply)
+        rng = random.Random(seed)
+        for _ in range(3):
+            slots = list(range(len(csys)))
+            rng.shuffle(slots)
+            shuffled = CompiledSystem(csys.names, csys.index)
+            for slot in slots:
+                shuffled.add(csys.arc_u[slot], csys.arc_v[slot], csys.arc_b[slot])
+            assert solve_lp(shuffled, supply)[0] == r
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_canonical_answer_of_network_simplex(self, seed):
+        """The maximal non-positive dual of networkx's optimal flow,
+        computed here by plain Bellman-Ford, negated and host-normalised."""
+        csys, supply = self.final_lp(seed)
+        r, _ = solve_lp(csys, supply)
+        arcs = list(zip(csys.arc_u, csys.arc_v, csys.arc_b))
+        g = nx.DiGraph()
+        for i, s in enumerate(supply):
+            g.add_node(i, demand=-s)
+        for u, v, b in arcs:
+            g.add_edge(u, v, weight=b)
+        _, flow = nx.network_simplex(g)
+        # residual arcs as relaxations x→y of weight w: π(y) ≤ π(x) + w
+        residual = [(u, v, b) for u, v, b in arcs]
+        residual += [(v, u, -b) for u, v, b in arcs if flow[u][v]]
+        pi = [0] * csys.n
+        for _ in range(csys.n + 1):
+            changed = False
+            for x, y, w in residual:
+                if pi[x] + w < pi[y]:
+                    pi[y] = pi[x] + w
+                    changed = True
+            if not changed:
+                break
+        assert not changed
+        assert r == [pi[csys.host] - p for p in pi]

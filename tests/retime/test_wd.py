@@ -1,5 +1,7 @@
 """Tests for the W/D matrices (paper Sec. 2 definitions)."""
 
+import signal
+
 import pytest
 
 from repro.graph import HOST, RetimingGraph
@@ -12,6 +14,21 @@ from repro.retime import (
 )
 
 from .helpers import correlator, random_graph
+
+
+def guarded(fn, *args, seconds: float = 5.0):
+    """*fn(*args)*, failing with TimeoutError instead of running forever."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} ran for over {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestWD:
@@ -89,3 +106,33 @@ class TestWD:
                 for v in vs:
                     if (u, x) in W and (x, v) in W and (u, v) in W:
                         assert W[u, v] <= W[u, x] + W[x, v]
+
+
+class TestHostCycle:
+    """A register-free cycle through the host: ``$host→v0→v2→v5→$host``.
+
+    Paths from the host used to re-expand the host on every return, with
+    ever larger delay, and never terminated.
+    """
+
+    @staticmethod
+    def graph():
+        return random_graph(59, n_vertices=6, n_edges=11)
+
+    def test_path_back_to_host_ends_there(self):
+        g = self.graph()
+        W, D = guarded(wd_matrices, g)
+        # the cycle carries no register; its delay is v0 + v2 + v5
+        assert W[HOST, HOST] == 0
+        assert D[HOST, HOST] == pytest.approx(2.0 + 4.0 + 3.0)
+        # every other pair matches a single-source run that never
+        # re-enters the host
+        assert guarded(wd_from_source, g, "v0")["v5"] == (W["v0", "v5"], D["v0", "v5"])
+
+    def test_the_cycle_bounds_the_period(self):
+        """No retiming cuts the cycle (the host is pinned), so its delay
+        is both a candidate and the optimum."""
+        g = self.graph()
+        candidates = guarded(candidate_periods, g)
+        assert min_period(g).phi == pytest.approx(9.0)
+        assert any(abs(c - 9.0) < 1e-9 for c in candidates)
