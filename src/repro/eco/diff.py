@@ -235,7 +235,7 @@ def apply_edit_script(circuit: Circuit, ops: list[dict]) -> Circuit:
             reg = work.registers[op["name"]]
             for pin in ("en", "sr", "ar"):
                 if pin in op:
-                    setattr(reg, pin, op[pin])
+                    work.set_register_pin(reg, pin, op[pin])
         elif kind == "add_gate":
             work.add_gate(
                 _fn_of(op["fn"]),
@@ -249,7 +249,7 @@ def apply_edit_script(circuit: Circuit, ops: list[dict]) -> Circuit:
         elif kind == "remove_gate":
             gate = work.remove_gate(op["name"])
             if gate.output in work.outputs:
-                work.outputs.remove(gate.output)
+                work.remove_output(work.outputs.index(gate.output))
         else:
             raise ValueError(f"unknown edit op {kind!r}")
     return work

@@ -103,63 +103,6 @@ class RelocationResult:
     requirements: dict[str, frozenset] = field(default_factory=dict)
 
 
-class _Readers:
-    """Who reads each net of the circuit under relocation.
-
-    Every step rewires the netlist and the next one asks who reads a
-    net, so :meth:`Circuit.readers`, which rebuilds its whole index
-    after any edit, rebuilt it once per step.  Relocation instead makes
-    its edits through this class, which patches its own index in place.
-    :meth:`of` lists a net's readers in the order of a full rebuild —
-    gates, then registers, each in insertion order, then outputs —
-    because a backward step takes the first one as its template.
-    """
-
-    def __init__(self, work: Circuit) -> None:
-        self.work = work
-        self.by_net = {net: list(work.readers(net)) for net in work.nets()}
-        # gate and register names share one namespace; outputs rank last
-        self.rank = {name: i for i, name in enumerate(work.gates)}
-        for name in work.registers:
-            self.rank[name] = len(self.rank)
-
-    def _key(self, entry: tuple[str, str, int]) -> tuple[int, ...]:
-        kind, name, pin = entry
-        return (1, pin) if kind == "output" else (0, self.rank[name], pin)
-
-    def of(self, net: str) -> list[tuple[str, str, int]]:
-        """The readers of *net*, as :meth:`Circuit.readers` lists them."""
-        return sorted(self.by_net.get(net, ()), key=self._key)
-
-    def add_register(self, **fields) -> Register:
-        reg = self.work.add_register(**fields)
-        self.rank[reg.name] = len(self.rank)
-        for pin, net in enumerate((reg.d, reg.clk, reg.en, reg.sr, reg.ar)):
-            if net is not None:
-                self.by_net.setdefault(net, []).append(("register", reg.name, pin))
-        return reg
-
-    def remove_register(self, reg: Register) -> None:
-        for pin, net in enumerate((reg.d, reg.clk, reg.en, reg.sr, reg.ar)):
-            if net is not None:
-                self.by_net[net].remove(("register", reg.name, pin))
-        self.work.remove_register(reg.name)
-
-    def replace_net(self, old: str, new: str) -> None:
-        moved = self.by_net.pop(old, [])
-        self.by_net.setdefault(new, []).extend(
-            ("output", new, pin) if kind == "output" else (kind, name, pin)
-            for kind, name, pin in moved
-        )
-        self.work.replace_net(old, new)
-
-    def set_gate_input(self, gate, pin: int, net: str) -> None:
-        entry = ("gate", gate.name, pin)
-        self.by_net[gate.inputs[pin]].remove(entry)
-        self.by_net.setdefault(net, []).append(entry)
-        self.work.set_gate_input(gate, pin, net)
-
-
 def relocate(
     circuit: Circuit,
     r: dict[str, int],
@@ -179,7 +122,6 @@ def relocate(
     performed: dict[str, int] = {}
     steps_moved = 0
     regs_before = len(work.registers)
-    readers = _Readers(work)
 
     while pending:
         progress = False
@@ -188,11 +130,11 @@ def relocate(
             gate = work.gates[name]
             if direction > 0:
                 applied = _try_backward(
-                    readers, gate, classifier, requirements, stats, performed
+                    work, gate, classifier, requirements, stats, performed
                 )
             else:
                 applied = _try_forward(
-                    readers, gate, classifier, requirements, stats
+                    work, gate, classifier, requirements, stats
                 )
             if applied:
                 progress = True
@@ -273,7 +215,7 @@ def _meet_all(values: list[int]) -> int | None:
 
 
 def _try_backward(
-    readers: _Readers,
+    work: Circuit,
     gate,
     classifier: Classifier,
     requirements: dict[str, frozenset],
@@ -281,9 +223,8 @@ def _try_backward(
     performed: dict[str, int],
 ) -> bool:
     """One backward layer move across *gate*, if currently valid."""
-    work = readers.work
     out_net = gate.output
-    fanout = readers.of(out_net)
+    fanout = work.readers(out_net)
     if not fanout:
         return False
     removed: list[Register] = []
@@ -342,7 +283,7 @@ def _try_backward(
     template = removed[0]
     new_regs: dict[str, Register] = {}
     for net in dict.fromkeys(in_nets):
-        new_regs[net] = readers.add_register(
+        new_regs[net] = work.add_register(
             d=net,
             clk=template.clk,
             en=template.en,
@@ -353,10 +294,10 @@ def _try_backward(
         )
     for i, net in enumerate(gate.inputs):
         if not is_const(net):
-            readers.set_gate_input(gate, i, new_regs[net].q)
+            work.set_gate_input(gate, i, new_regs[net].q)
     for reg in removed:
-        readers.remove_register(reg)
-        readers.replace_net(reg.q, out_net)
+        work.remove_register(reg.name)
+        work.replace_net(reg.q, out_net)
         requirements.pop(reg.name, None)
 
     frozen = frozenset(req_items)
@@ -675,14 +616,13 @@ def _solve_channel(
 
 
 def _try_forward(
-    readers: _Readers,
+    work: Circuit,
     gate,
     classifier: Classifier,
     requirements: dict[str, frozenset],
     stats: JustificationStats,
 ) -> bool:
     """One forward layer move across *gate*, if currently valid."""
-    work = readers.work
     in_nets = [n for n in gate.inputs if not is_const(n)]
     if not in_nets:
         return False
@@ -704,17 +644,17 @@ def _try_forward(
     # bypass the source registers at this gate's pins
     for i, net in enumerate(gate.inputs):
         if not is_const(net):
-            readers.set_gate_input(gate, i, drivers[net].d)
+            work.set_gate_input(gate, i, drivers[net].d)
     # drop sources that became unobservable
     for reg in drivers.values():
-        if reg.name in work.registers and not readers.of(reg.q):
-            readers.remove_register(reg)
+        if reg.name in work.registers and not work.readers(reg.q):
+            work.remove_register(reg.name)
             requirements.pop(reg.name, None)
     # insert the new layer after the gate
     old_out = gate.output
     new_net = work.new_net("fwd")
     work.rewire_gate_output(gate, new_net)
-    readers.add_register(
+    work.add_register(
         d=new_net,
         q=old_out,
         clk=template.clk,

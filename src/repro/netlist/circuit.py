@@ -8,18 +8,31 @@ Design notes
 ------------
 * Nets are strings.  Each net has at most one driver: a primary input, a
   gate output, a register Q, or one of the two constant nets.
-* The container maintains a driver index incrementally; fanout (reader)
-  indexes are computed on demand and cached until the next mutation.
+* The container keeps two indexes: each net's driver, and each net's
+  readers (the cell pins and output ports that use it).  Every mutator
+  updates both in place, so :meth:`Circuit.replace_net` rewrites only
+  the net's readers and no query ever rebuilds an index from the cells.
+* Pins are therefore written only through :class:`Circuit` methods:
+  ``set_gate_input``, ``remove_gate_input``, ``set_register_pin``,
+  ``set_output``, ``remove_output``, ``replace_net`` and ``map_nets``.
+  Assigning ``gate.inputs[i]``, ``reg.d`` (or any register pin) or
+  ``circuit.outputs`` directly leaves the reader index stale.
 * Registers never participate in combinational topological order: their
   Q pins act as sources and their D/control pins as sinks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Callable, Iterable, Iterator
 
 from .cells import Gate, GateFn, Port, Register
 from .signals import CONST0, CONST1, NetNamer, is_const
+
+#: register pins in reader-index order (pin 0=D, 1=CLK, 2=EN, 3=SR, 4=AR)
+REGISTER_PINS = ("d", "clk", "en", "sr", "ar")
+
+_KIND_ORDER = {"gate": 0, "register": 1}
 
 
 class NetlistError(Exception):
@@ -44,7 +57,11 @@ class Circuit:
         self.gates: dict[str, Gate] = {}
         self.registers: dict[str, Register] = {}
         self._driver: dict[str, tuple[str, str]] = {}  # net -> (kind, cell/port name)
-        self._readers_cache: dict[str, list[tuple[str, str, int]]] | None = None
+        # net -> its readers, kept in the order readers() documents
+        self._readers: dict[str, list[tuple[str, str, int]]] = {}
+        # cell name -> insertion stamp, the reader order within a kind
+        self._rank: dict[str, int] = {}
+        self._next_rank = 0
         self.namer = NetNamer()
         self.namer.claim(CONST0)
         self.namer.claim(CONST1)
@@ -59,14 +76,13 @@ class Circuit:
         self.inputs.append(name)
         self._driver[name] = ("input", name)
         self.namer.claim(name)
-        self._invalidate()
         return name
 
     def add_output(self, net: str) -> str:
         """Declare *net* as a primary output (it must be driven by someone)."""
+        self._link_new(net, ("output", net, len(self.outputs)))
         self.outputs.append(net)
         self.namer.claim(net)
-        self._invalidate()
         return net
 
     def add_gate(
@@ -93,7 +109,9 @@ class Circuit:
         gate = Gate(name, fn, list(inputs), output, table)
         self.gates[name] = gate
         self._driver[output] = ("gate", name)
-        self._invalidate()
+        self._stamp(name)
+        for pin, net in enumerate(gate.inputs):
+            self._link_new(net, ("gate", name, pin))
         return gate
 
     def add_register(
@@ -124,7 +142,10 @@ class Circuit:
         reg = Register(name, d, q, clk, en=en, sr=sr, ar=ar, sval=sval, aval=aval)
         self.registers[name] = reg
         self._driver[q] = ("register", name)
-        self._invalidate()
+        self._stamp(name)
+        for pin, net in enumerate((d, clk, en, sr, ar)):
+            if net is not None:
+                self._link_new(net, ("register", name, pin))
         return reg
 
     def new_net(self, prefix: str = "n") -> str:
@@ -138,14 +159,20 @@ class Circuit:
         """Delete a gate; its output net becomes undriven."""
         gate = self.gates.pop(name)
         del self._driver[gate.output]
-        self._invalidate()
+        for pin, net in enumerate(gate.inputs):
+            self._unlink(net, ("gate", name, pin))
+        del self._rank[name]
         return gate
 
     def remove_register(self, name: str) -> Register:
         """Delete a register; its Q net becomes undriven."""
         reg = self.registers.pop(name)
         del self._driver[reg.q]
-        self._invalidate()
+        for pin, attr in enumerate(REGISTER_PINS):
+            net = getattr(reg, attr)
+            if net is not None:
+                self._unlink(net, ("register", name, pin))
+        del self._rank[name]
         return reg
 
     def rewire_gate_output(self, gate: Gate, new_output: str) -> None:
@@ -156,42 +183,146 @@ class Circuit:
         gate.output = new_output
         self.namer.claim(new_output)
         self._driver[new_output] = ("gate", gate.name)
-        self._invalidate()
 
     def set_gate_input(self, gate: Gate, pin: int, net: str) -> None:
         """Connect input *pin* of *gate* to *net*."""
+        old = gate.inputs[pin]
+        if old == net:
+            return
+        entry = ("gate", gate.name, pin)
+        self._unlink(old, entry)
         gate.inputs[pin] = net
-        self._invalidate()
+        self._link(net, entry)
+
+    def remove_gate_input(self, gate: Gate, pin: int) -> str:
+        """Drop input *pin* of *gate*; later pins shift down by one.
+
+        Returns the net the pin read.  The gate's function is not
+        touched: the caller restates it for the narrower pin list.
+        """
+        name = gate.name
+        self._unlink(gate.inputs[pin], ("gate", name, pin))
+        for later in range(pin + 1, len(gate.inputs)):
+            self._shift(gate.inputs[later], ("gate", name, later))
+        return gate.inputs.pop(pin)
+
+    def set_register_pin(self, reg: Register, pin: str, net: str | None) -> None:
+        """Connect register pin *pin* (``"d"``, ``"clk"``, ``"en"``,
+        ``"sr"`` or ``"ar"``) to *net*; ``None`` drops a control pin."""
+        index = REGISTER_PINS.index(pin)
+        if net is None and index < 2:
+            raise NetlistError(f"register {reg.name!r} needs a {pin} net")
+        old = getattr(reg, pin)
+        if old == net:
+            return
+        entry = ("register", reg.name, index)
+        if old is not None:
+            self._unlink(old, entry)
+        setattr(reg, pin, net)
+        if net is not None:
+            self._link(net, entry)
+
+    def set_output(self, index: int, net: str) -> None:
+        """Make output port *index* observe *net* instead."""
+        old = self.outputs[index]
+        if old == net:
+            return
+        self._unlink(old, ("output", old, index))
+        self.outputs[index] = net
+        self._link(net, ("output", net, index))
+
+    def remove_output(self, index: int) -> str:
+        """Delete output port *index*; later ports shift down by one.
+
+        Returns the net the port observed."""
+        net = self.outputs[index]
+        self._unlink(net, ("output", net, index))
+        for later in range(index + 1, len(self.outputs)):
+            other = self.outputs[later]
+            self._shift(other, ("output", other, later))
+        return self.outputs.pop(index)
 
     def replace_net(self, old: str, new: str) -> int:
         """Substitute every *use* of net ``old`` by ``new``.
 
         The driver of ``old`` is untouched; returns the number of pins
-        rewritten (including output-port uses).
+        rewritten (including output-port uses).  Only the readers of
+        ``old`` are visited.
         """
-        count = 0
-        for gate in self.gates.values():
-            for i, net in enumerate(gate.inputs):
-                if net == old:
-                    gate.inputs[i] = new
-                    count += 1
-        for reg in self.registers.values():
-            if reg.d == old:
-                reg.d = new
-                count += 1
-            if reg.clk == old:
-                reg.clk = new
-                count += 1
-            for attr in ("en", "sr", "ar"):
-                if getattr(reg, attr) == old:
-                    setattr(reg, attr, new)
-                    count += 1
-        for i, net in enumerate(self.outputs):
-            if net == old:
-                self.outputs[i] = new
-                count += 1
-        self._invalidate()
-        return count
+        moved = self._readers.get(old, [])
+        if old == new or not moved:
+            return len(moved)
+        del self._readers[old]
+        for i, (kind, name, pin) in enumerate(moved):
+            if kind == "gate":
+                self.gates[name].inputs[pin] = new
+            elif kind == "register":
+                setattr(self.registers[name], REGISTER_PINS[pin], new)
+            else:
+                self.outputs[pin] = new
+                moved[i] = ("output", new, pin)
+        self._merge(new, moved)
+        return len(moved)
+
+    # ------------------------------------------------------------------ #
+    # the reader index
+
+    def _stamp(self, name: str) -> None:
+        self._rank[name] = self._next_rank
+        self._next_rank += 1
+
+    def _order(self, entry: tuple[str, str, int]) -> tuple[int, ...]:
+        """Sort key of a reader: gates, then registers, each in insertion
+        order with pins ascending, then output ports by index."""
+        kind, name, pin = entry
+        if kind == "output":
+            return (2, pin)
+        return (_KIND_ORDER[kind], self._rank[name], pin)
+
+    def _find(self, readers: list, entry: tuple[str, str, int]) -> int:
+        return bisect_left(readers, self._order(entry), key=self._order)
+
+    def _link(self, net: str, entry: tuple[str, str, int]) -> None:
+        readers = self._readers.get(net)
+        if readers is None:
+            self._readers[net] = [entry]
+        else:
+            insort(readers, entry, key=self._order)
+
+    def _link_new(self, net: str, entry: tuple[str, str, int]) -> None:
+        """Link a pin of the cell or port added last.  It sorts after
+        every reader of its own kind, so it appends unless a reader of a
+        later kind (a register after a gate, a port after a cell) ends
+        the list."""
+        readers = self._readers.get(net)
+        if readers is None:
+            self._readers[net] = [entry]
+        elif readers[-1][0] in ("gate", entry[0]):
+            readers.append(entry)
+        else:
+            insort(readers, entry, key=self._order)
+
+    def _unlink(self, net: str, entry: tuple[str, str, int]) -> None:
+        readers = self._readers[net]
+        if len(readers) == 1:
+            del self._readers[net]
+        else:
+            del readers[self._find(readers, entry)]
+
+    def _shift(self, net: str, entry: tuple[str, str, int]) -> None:
+        """Renumber *entry* one pin (or port) down, in place: an earlier
+        pin of the same cell (or port) was dropped."""
+        readers = self._readers[net]
+        kind, name, pin = entry
+        readers[self._find(readers, entry)] = (kind, name, pin - 1)
+
+    def _merge(self, net: str, moved: list[tuple[str, str, int]]) -> None:
+        present = self._readers.get(net)
+        if present is None:
+            self._readers[net] = moved
+        else:
+            present.extend(moved)
+            present.sort(key=self._order)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -225,25 +356,12 @@ class Circuit:
 
         Kinds: ``"gate"`` (pin index into ``gate.inputs``), ``"register"``
         (pin 0=D, 1=CLK, 2=EN, 3=SR, 4=AR), ``"output"`` (index into
-        ``self.outputs``).
+        ``self.outputs``; the name is the net).  Gates come first, then
+        registers, each in insertion order with pins ascending, then
+        output ports by index.  The list is a copy: callers may edit the
+        circuit while they walk it.
         """
-        return self._readers().get(net, [])
-
-    def _readers(self) -> dict[str, list[tuple[str, str, int]]]:
-        if self._readers_cache is None:
-            readers: dict[str, list[tuple[str, str, int]]] = {}
-            for gate in self.gates.values():
-                for i, net in enumerate(gate.inputs):
-                    readers.setdefault(net, []).append(("gate", gate.name, i))
-            for reg in self.registers.values():
-                pins = [reg.d, reg.clk, reg.en, reg.sr, reg.ar]
-                for i, net in enumerate(pins):
-                    if net is not None:
-                        readers.setdefault(net, []).append(("register", reg.name, i))
-            for i, net in enumerate(self.outputs):
-                readers.setdefault(net, []).append(("output", net, i))
-            self._readers_cache = readers
-        return self._readers_cache
+        return list(self._readers.get(net, ()))
 
     def nets(self) -> set[str]:
         """Every net mentioned anywhere in the circuit."""
@@ -326,9 +444,6 @@ class Circuit:
     # ------------------------------------------------------------------ #
     # misc
 
-    def _invalidate(self) -> None:
-        self._readers_cache = None
-
     def clone(self, name: str | None = None) -> "Circuit":
         """Deep copy of the circuit (independent cells and indexes)."""
         other = Circuit(name or self.name)
@@ -337,6 +452,9 @@ class Circuit:
         other.gates = {n: g.clone() for n, g in self.gates.items()}
         other.registers = {n: r.clone() for n, r in self.registers.items()}
         other._driver = dict(self._driver)
+        other._readers = {net: list(rs) for net, rs in self._readers.items()}
+        other._rank = dict(self._rank)
+        other._next_rank = self._next_rank
         for n in self.nets():
             other.namer.claim(n)
         for n in list(self.gates) + list(self.registers):
@@ -386,4 +504,10 @@ class Circuit:
             self._driver[gate.output] = ("gate", gate.name)
         for reg in self.registers.values():
             self._driver[reg.q] = ("register", reg.name)
-        self._invalidate()
+        readers, self._readers = self._readers, {}
+        for net, entries in readers.items():
+            new = fn(net)
+            self._merge(new, [
+                ("output", new, pin) if kind == "output" else (kind, name, pin)
+                for kind, name, pin in entries
+            ])

@@ -42,7 +42,7 @@ def propagate_constants(circuit: Circuit) -> int:
                 continue
             value = 1 if net == const_net(1) else 0
             table = _cofactor(table, len(gate.inputs), pin, value)
-            gate.inputs.pop(pin)
+            circuit.remove_gate_input(gate, pin)
             changes += 1
         if len(gate.inputs) != n:
             gate.fn = GateFn.LUT
@@ -115,25 +115,23 @@ def _bypass_closes_register_ring(
 ) -> bool:
     """Would rewiring readers of *out* to *source* create a cycle of
     registers with no combinational cell on it?"""
-    reg_by_q = {r.q: r for r in circuit.registers.values()}
-    if source not in reg_by_q:
+    reg = circuit.driver_register(source)
+    if reg is None:
         return False
-    victims = [
-        circuit.registers[name]
+    victims = {
+        name
         for kind, name, pin in circuit.readers(out)
         if kind == "register" and pin == 0
-    ]
+    }
     if not victims:
         return False
     # walk the register-only chain upstream of `source`; if it reaches a
     # victim register, the bypass closes a pure ring
     seen: set[str] = set()
-    reg = reg_by_q[source]
     while reg is not None and reg.name not in seen:
         seen.add(reg.name)
-        reg = reg_by_q.get(reg.d)
-    victim_names = {r.name for r in victims}
-    return bool(victim_names & seen)
+        reg = circuit.driver_register(reg.d)
+    return bool(victims & seen)
 
 
 def share_structural(circuit: Circuit) -> int:

@@ -110,8 +110,8 @@ def insert_pipeline_layers(
                 ).q
                 inserted += 1
             chain_end[net] = prev
-        work.outputs = [chain_end[net] for net in work.outputs]
-        work._invalidate()
+        for index, net in enumerate(list(work.outputs)):
+            work.set_output(index, chain_end[net])
     obs.count("pipeline.layers_inserted", stages)
     obs.count("pipeline.registers_inserted", inserted)
     return work, inserted

@@ -31,8 +31,8 @@ def decompose_sync_resets(circuit: Circuit) -> int:
     count = 0
     for reg in list(circuit.registers.values()):
         if not reg.has_sync_reset:
-            if reg.sr is not None:
-                reg.sr = None  # constant-0 reset pin: just drop it
+            if reg.sr is not None:  # constant-0 reset pin: just drop it
+                circuit.set_register_pin(reg, "sr", None)
             continue
         sr = reg.sr
         sval = reg.sval
@@ -41,10 +41,11 @@ def decompose_sync_resets(circuit: Circuit) -> int:
         else:  # clear for 0 and for don't-care
             inv = circuit.add_gate(GateFn.NOT, [sr]).output
             new_d = circuit.add_gate(GateFn.AND, [reg.d, inv]).output
-        reg.d = new_d
+        circuit.set_register_pin(reg, "d", new_d)
         if reg.has_enable:
-            reg.en = circuit.add_gate(GateFn.OR, [reg.en, sr]).output
-        reg.sr = None
+            en = circuit.add_gate(GateFn.OR, [reg.en, sr]).output
+            circuit.set_register_pin(reg, "en", en)
+        circuit.set_register_pin(reg, "sr", None)
         reg.sval = TX
         count += 1
     return count
@@ -55,12 +56,12 @@ def decompose_enables(circuit: Circuit) -> int:
     count = 0
     for reg in list(circuit.registers.values()):
         if not reg.has_enable:
-            if reg.en is not None:
-                reg.en = None  # constant-1 enable: drop the pin
+            if reg.en is not None:  # constant-1 enable: drop the pin
+                circuit.set_register_pin(reg, "en", None)
             continue
         mux = circuit.add_gate(GateFn.MUX, [reg.en, reg.q, reg.d])
-        reg.d = mux.output
-        reg.en = None
+        circuit.set_register_pin(reg, "d", mux.output)
+        circuit.set_register_pin(reg, "en", None)
         count += 1
     return count
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import obs
 from ..netlist import Circuit, GateFn
 from ..netlist.signals import is_const
 from ..opt.passes import optimize
@@ -171,12 +172,17 @@ def map_luts(
     """
     work = circuit.clone()
     if optimise:
-        optimize(work)
-    decompose_to_two_input(work)
+        with obs.span("lutmap.optimize"):
+            optimize(work)
+    with obs.span("lutmap.decompose"):
+        decompose_to_two_input(work)
     if optimise:
-        optimize(work)
-    db = enumerate_cuts(work, k=k, priority=priority, mode=mode)
-    mapped = cover(work, db)
+        with obs.span("lutmap.optimize"):
+            optimize(work)
+    with obs.span("lutmap.cuts"):
+        db = enumerate_cuts(work, k=k, priority=priority, mode=mode)
+    with obs.span("lutmap.cover"):
+        mapped = cover(work, db)
     depth = max(
         (db.depth_of(net) for net in _required_nets(work)), default=0
     )

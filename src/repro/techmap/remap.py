@@ -15,6 +15,7 @@ re-cover can duplicate shared logic, so the keep-better guard matters.
 
 from __future__ import annotations
 
+from .. import obs
 from ..netlist import Circuit
 from ..timing.delay_models import DelayModel, XC4000E_DELAY
 from ..timing.sta import analyze
@@ -38,13 +39,16 @@ def remap(
     result = map_luts(circuit, k=k, priority=priority, optimise=True)
     if not keep_better:
         return result
-    before = analyze(circuit, delay_model).max_delay
-    after = analyze(result.circuit, delay_model).max_delay
-    eps = 1e-9
-    if after < before - eps or (
-        abs(after - before) <= eps and result.n_luts < len(circuit.gates)
-    ):
-        return result
-    db = enumerate_cuts(circuit, k=k, priority=1)
-    depth = max((db.depth_of(g.output) for g in circuit.gates.values()), default=0)
-    return MapResult(circuit.clone(), n_luts=len(circuit.gates), depth=depth)
+    with obs.span("remap.keep_better"):
+        before = analyze(circuit, delay_model).max_delay
+        after = analyze(result.circuit, delay_model).max_delay
+        eps = 1e-9
+        if after < before - eps or (
+            abs(after - before) <= eps and result.n_luts < len(circuit.gates)
+        ):
+            return result
+        db = enumerate_cuts(circuit, k=k, priority=1)
+        depth = max(
+            (db.depth_of(g.output) for g in circuit.gates.values()), default=0
+        )
+        return MapResult(circuit.clone(), n_luts=len(circuit.gates), depth=depth)

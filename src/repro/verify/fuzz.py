@@ -203,14 +203,14 @@ def inject_mutation(
             return mutant, f"extra_register: after {net}"
         elif kind == "drop_enable":
             if reg.has_enable:
-                reg.en = None
+                mutant.set_register_pin(reg, "en", None)
                 return mutant, f"drop_enable: {reg.name}"
         elif kind == "invert_enable":
             if reg.has_enable:
                 inv = mutant.add_gate(
                     GateFn.NOT, [reg.en], mutant.new_net("mut_nen")
                 )
-                reg.en = inv.output
+                mutant.set_register_pin(reg, "en", inv.output)
                 return mutant, f"invert_enable: {reg.name}"
         return None
 
@@ -228,7 +228,8 @@ def inject_mutation(
     reg = mutant.registers[rng.choice(regs)]
     if reg.sval == TX and reg.aval == TX:
         reg.aval = T1
-        reg.ar = reg.clk  # tie async reset to the clock net: always on
+        # tie async reset to the clock net: always on
+        mutant.set_register_pin(reg, "ar", reg.clk)
         return mutant, f"force_reset: {reg.name}"
     return None
 

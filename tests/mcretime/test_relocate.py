@@ -319,7 +319,7 @@ class TestInheritedRequirementAtOutputNet:
         not just the removed register's X (found on C6 at scale 0.25 by
         the engine's post-relocation verification)."""
         from repro.mcretime import Classifier
-        from repro.mcretime.relocate import _Readers, _try_backward
+        from repro.mcretime.relocate import _try_backward
         from repro.mcretime.reset import JustificationStats
 
         c = Circuit("inherit")
@@ -332,7 +332,7 @@ class TestInheritedRequirementAtOutputNet:
         requirements = {"R": frozenset({("n1", TX, T0)})}
         stats = JustificationStats()
         ok = _try_backward(
-            _Readers(c), c.gates["g"], Classifier(c), requirements, stats, {}
+            c, c.gates["g"], Classifier(c), requirements, stats, {}
         )
         assert ok
         avals = sorted(
@@ -397,10 +397,10 @@ class TestReadersAfterRewiring:
     """
 
     def test_index_matches_a_full_rebuild(self):
-        """Relocation's patched reader index lists every net's readers
-        exactly as a rebuilt :meth:`Circuit.readers` does, in the same
-        order (a backward step takes the first one as its template)."""
-        from repro.mcretime.relocate import _Readers
+        """The circuit's patched reader index lists every net's readers
+        exactly as a full rebuild does, in the same order (a backward
+        step takes the first one as its template)."""
+        from tests.netlist.helpers import rebuilt_readers
 
         c = Circuit("index")
         for net in ("clk", "en", "a", "b"):
@@ -411,19 +411,19 @@ class TestReadersAfterRewiring:
         c.add_gate(GateFn.XOR, ["q1", "n1"], "y", name="g3")
         c.add_output("y")
         c.add_output("q1")
-        readers = _Readers(c)
 
         def assert_fresh():
+            rebuilt = rebuilt_readers(c)
             for net in c.nets():
-                assert readers.of(net) == c.readers(net), net
+                assert c.readers(net) == rebuilt.get(net, []), net
 
         assert_fresh()
-        r2 = readers.add_register(d="n1", clk="clk", en="en")
-        readers.set_gate_input(g2, 0, r2.q)
+        r2 = c.add_register(d="n1", clk="clk", en="en")
+        c.set_gate_input(g2, 0, r2.q)
         assert_fresh()
-        readers.replace_net("q1", "n2")  # a gate pin and an output move
+        c.replace_net("q1", "n2")  # a gate pin and an output move
         assert_fresh()
-        readers.remove_register(r1)
+        c.remove_register(r1.name)
         assert_fresh()
 
     def test_modmul6_keeps_no_unread_register(self):

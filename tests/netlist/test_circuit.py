@@ -1,15 +1,20 @@
 """Unit tests for the Circuit container: indexes, surgery, topo order."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netlist import (
+    CONST0,
     CONST1,
     Circuit,
     GateFn,
     NetlistError,
     check_circuit,
+    is_const,
     is_valid,
 )
+from tests.netlist.helpers import assert_readers_fresh, rebuilt_readers
 
 
 def small_circuit() -> Circuit:
@@ -198,3 +203,122 @@ class TestQueries:
         assert c.inputs == ["p_a", "p_b", "p_clk"]
         assert c.driver("p_n1") == ("gate", "g1")
         check_circuit(c)
+
+
+class TestReaderIndex:
+    """Every mutator keeps ``readers()`` equal to a scan of the cells."""
+
+    def test_readers_returns_a_copy(self):
+        c = small_circuit()
+        c.readers("a").clear()
+        assert c.readers("a") == [("gate", "g1", 0), ("gate", "g3", 1)]
+
+    def test_remove_gate_input_shifts_later_pins(self):
+        c = small_circuit()
+        g = c.add_gate(GateFn.AND, ["a", "b", "a", "n1"], "w", name="g4")
+        assert c.remove_gate_input(g, 1) == "b"
+        assert g.inputs == ["a", "a", "n1"]
+        assert ("gate", "g4", 1) in c.readers("a")
+        assert ("gate", "g4", 2) in c.readers("n1")
+        assert_readers_fresh(c)
+
+    def test_register_pin_and_output_edits(self):
+        c = small_circuit()
+        reg = c.registers["r1"]
+        c.set_register_pin(reg, "en", "a")
+        c.set_register_pin(reg, "d", "n1")
+        assert reg.en == "a" and reg.d == "n1"
+        c.set_register_pin(reg, "en", None)
+        with pytest.raises(NetlistError):
+            c.set_register_pin(reg, "clk", None)
+        c.add_output("n2")
+        c.set_output(0, "q1")
+        assert c.remove_output(0) == "q1"
+        assert c.outputs == ["n2"]
+        assert c.readers("n2") == [("output", "n2", 0)]
+        assert_readers_fresh(c)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_random_mutations_keep_the_index_fresh(self, data):
+        c = Circuit("fuzz")
+        for net in ("clk", "a", "b", "c"):
+            c.add_input(net)
+        undriven = ["u0", "u1", "u2"]
+        clones = []
+
+        def pick(options):
+            return data.draw(st.sampled_from(sorted(options)))
+
+        def any_net():
+            pool = set(c.inputs) | set(undriven) | {CONST0, CONST1}
+            pool |= {g.output for g in c.gates.values()}
+            pool |= {r.q for r in c.registers.values()}
+            return pick(pool)
+
+        def control():
+            return data.draw(st.none() | st.just(any_net()))
+
+        for _ in range(data.draw(st.integers(1, 40))):
+            ops = ["add_gate", "add_register", "add_output", "replace_net",
+                   "map_nets", "clone"]
+            if c.gates:
+                ops += ["remove_gate", "set_gate_input", "remove_gate_input",
+                        "rewire_gate_output"]
+            if c.registers:
+                ops += ["remove_register", "set_register_pin"]
+            if c.outputs:
+                ops += ["set_output", "remove_output"]
+            op = pick(ops)
+            if op == "add_gate":
+                n = data.draw(st.integers(1, 4))
+                c.add_gate(GateFn.AND, [any_net() for _ in range(n)])
+            elif op == "add_register":
+                c.add_register(
+                    any_net(), clk=any_net(), en=control(), sr=control(),
+                    ar=control(),
+                )
+            elif op == "add_output":
+                c.add_output(any_net())
+            elif op == "replace_net":
+                c.replace_net(any_net(), any_net())
+            elif op == "map_nets":
+                if data.draw(st.booleans()):
+                    c.map_nets(lambda n: n if is_const(n) else "p_" + n)
+                    undriven = ["p_" + n for n in undriven]
+                else:  # merge one undriven net into another net
+                    victim, target = pick(undriven), any_net()
+                    c.map_nets(lambda n: target if n == victim else n)
+            elif op == "clone":
+                clones.append((c, rebuilt_readers(c)))
+                c = c.clone()
+            elif op == "remove_gate":
+                c.remove_gate(pick(c.gates))
+            elif op == "set_gate_input":
+                gate = c.gates[pick(c.gates)]
+                pin = data.draw(st.integers(0, gate.n_inputs - 1))
+                c.set_gate_input(gate, pin, any_net())
+            elif op == "remove_gate_input":
+                gate = c.gates[pick(c.gates)]
+                if gate.n_inputs > 1:
+                    c.remove_gate_input(
+                        gate, data.draw(st.integers(0, gate.n_inputs - 1))
+                    )
+            elif op == "rewire_gate_output":
+                c.rewire_gate_output(c.gates[pick(c.gates)], c.new_net("w"))
+            elif op == "remove_register":
+                c.remove_register(pick(c.registers))
+            elif op == "set_register_pin":
+                reg = c.registers[pick(c.registers)]
+                pin = pick(["d", "clk", "en", "sr", "ar"])
+                net = any_net() if pin in ("d", "clk") else control()
+                c.set_register_pin(reg, pin, net)
+            elif op == "set_output":
+                c.set_output(data.draw(st.integers(0, len(c.outputs) - 1)), any_net())
+            elif op == "remove_output":
+                c.remove_output(data.draw(st.integers(0, len(c.outputs) - 1)))
+            assert_readers_fresh(c)
+        # edits to a clone never reach the circuit it was copied from
+        for original, scanned in clones:
+            assert rebuilt_readers(original) == scanned
+            assert_readers_fresh(original)

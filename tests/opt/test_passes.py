@@ -45,6 +45,22 @@ class TestConstants:
         propagate_constants(c)
         assert c.outputs == [CONST0]
 
+    def test_dropped_constant_pin_renumbers_readers(self):
+        """Regression: folding a constant pin out of a gate must renumber
+        the gate's later pins in the reader index, even when the index
+        was consulted before the fold."""
+        c = Circuit()
+        c.add_input("a")
+        c.add_input("b")
+        c.add_gate(GateFn.AND, [CONST1, "a", "b"], "y", name="g")
+        c.add_output("y")
+        assert c.readers("b") == [("gate", "g", 2)]
+        propagate_constants(c)
+        assert c.gates["g"].inputs == ["a", "b"]
+        assert c.readers("a") == [("gate", "g", 0)]
+        assert c.readers("b") == [("gate", "g", 1)]
+        assert c.readers(CONST1) == []
+
     def test_constants_flow_through_chain(self):
         c = Circuit()
         c.add_input("a")

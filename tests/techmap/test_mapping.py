@@ -56,6 +56,22 @@ class TestDecomposeRegisters:
         sim.step({"d": T1, "rs": T0})
         assert sim.state["r"] == T1
 
+    def test_constant_sync_reset_pin_leaves_the_reader_index(self):
+        """Regression: dropping a constant-0 SR pin must remove the
+        register from the constant net's readers, even when the index
+        was consulted before the drop."""
+        from repro.netlist import CONST0
+
+        c = Circuit()
+        for n in ("clk", "d"):
+            c.add_input(n)
+        c.add_register(d="d", q="q", clk="clk", sr=CONST0, sval=T0, name="r")
+        c.add_output("q")
+        assert c.readers(CONST0) == [("register", "r", 3)]
+        assert decompose_sync_resets(c) == 0
+        assert c.registers["r"].sr is None
+        assert c.readers(CONST0) == []
+
     def test_sync_set(self):
         c = Circuit()
         for n in ("clk", "rs", "d"):

@@ -84,7 +84,7 @@ def test_input_interface_mismatch_rejected():
 def test_output_count_mismatch_rejected():
     good, _ = toggle_pair()
     fewer = good.clone()
-    fewer.outputs.pop()
+    fewer.remove_output(len(fewer.outputs) - 1)
     result = check_sequential(good, fewer, cycles=4)
     assert not result.equivalent
 
