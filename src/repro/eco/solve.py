@@ -45,6 +45,7 @@ from .. import obs
 from ..graph.build import build_mcgraph
 from ..kernels import compile_graph, delta_sweep, refresh
 from ..kernels.delta import _REFRESH_FRACTION
+from ..lru import LRU
 from ..mcretime import MCRetimeResult, mc_retime
 from ..mcretime.bounds import compute_bounds
 from ..mcretime.classes import Classifier
@@ -141,8 +142,11 @@ class EcoState:
         self.circuit = circuit
         self.delay_model = delay_model
         self.semantic_classes = semantic_classes
-        self.max_solve_records = max(1, max_solve_records)
-        self.solve_cache: dict[str, SolveRecord] = {}
+        #: solve key -> conflict-free solve, the ``max_solve_records``
+        #: most recently used
+        self.solve_cache: LRU[str, SolveRecord] = LRU(
+            max(1, max_solve_records)
+        )
         self.stats = {
             "edits": 0,
             "reuse": 0,
@@ -213,12 +217,6 @@ class EcoState:
             sort_keys=True,
         )
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    def remember(self, key: str, record: SolveRecord) -> None:
-        if len(self.solve_cache) >= self.max_solve_records:
-            # drop the oldest insertion (dict preserves order)
-            self.solve_cache.pop(next(iter(self.solve_cache)))
-        self.solve_cache[key] = record
 
 
 def _periods(
@@ -401,7 +399,7 @@ def eco_retime(
                         # delay configuration — safe to reuse; conflicted
                         # trajectories also depend on reset values, so
                         # they are never cached
-                        state.remember(
+                        state.solve_cache.put(
                             key,
                             SolveRecord(
                                 phi=solved.phi,

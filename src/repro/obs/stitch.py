@@ -44,6 +44,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
+from .report import span_totals
+
 __all__ = [
     "critical_path",
     "render_critical_path",
@@ -235,21 +237,12 @@ def stitch_events(
         ),
         "counters": counters,
         "gauges": {},
-        "spans": _span_totals(body),
+        "spans": span_totals(body),
         "pid": procs[0]["pid"],
         "stitched": True,
     }
     return [head, *metas, *[e for e in body if e.get("type") != "end"],
             *ends, tail]
-
-
-def _span_totals(events: list[dict[str, Any]]) -> dict[str, float]:
-    totals: dict[str, float] = {}
-    for event in events:
-        if event.get("type") == "span":
-            name = event["name"]
-            totals[name] = totals.get(name, 0.0) + event["dur"]
-    return totals
 
 
 def stitch_dir(

@@ -35,6 +35,8 @@ import time
 import uuid
 from typing import Any, Callable
 
+from .report import span_totals
+
 __all__ = [
     "NULL_SPAN",
     "Span",
@@ -359,12 +361,7 @@ class Tracer:
         engine's ``timings[phase] += duration`` loop, so totals match
         the timings dicts bit-for-bit.
         """
-        totals: dict[str, float] = {}
-        for event in self.events:
-            if event.get("type") == "span":
-                name = event["name"]
-                totals[name] = totals.get(name, 0.0) + event["dur"]
-        return totals
+        return span_totals(self.events)
 
     def span_self_totals(self) -> dict[str, float]:
         """Total *self* time (duration minus child spans) per span name."""

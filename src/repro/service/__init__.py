@@ -3,9 +3,10 @@
 The service layer turns the single-shot flows of :mod:`repro.flows`
 into a servable, fault-tolerant batch engine:
 
-* :class:`RetimeJob` / :class:`JobResult` — content-addressed job specs
-  and structured outcomes (:mod:`repro.service.jobs`);
-* :class:`ResultCache` — two-tier LRU-over-disk result cache
+* :class:`RetimeJob` / :class:`JobResult` / :class:`JobRecord` —
+  content-addressed job specs, structured outcomes and the service's
+  per-job record (:mod:`repro.service.jobs`);
+* :class:`ResultCache` — the finished jobs: an LRU over a disk tier
   (:mod:`repro.service.cache`);
 * :class:`RetimePool` — crash-isolated, consistent-hash-sharded
   multiprocessing pool with per-job timeouts, bounded retries, and
@@ -29,6 +30,7 @@ from .jobs import (
     JOB_FLOWS,
     JOB_TRANSFORMS,
     JobFailure,
+    JobRecord,
     JobResult,
     RetimeJob,
     design_fingerprint,
@@ -48,6 +50,7 @@ __all__ = [
     "HashRing",
     "Histogram",
     "JobFailure",
+    "JobRecord",
     "JobResult",
     "MetricsRegistry",
     "PoolSaturatedError",

@@ -1,20 +1,22 @@
-"""Two-tier result cache: in-memory LRU over an on-disk JSON store.
+"""Finished jobs: a bounded in-memory LRU over an on-disk JSON store.
 
 Keys are the content-addressed job hashes from
 :meth:`~repro.service.jobs.RetimeJob.canonical_key`, so a resubmitted
 design (same canonical netlist, same options) returns its retimed
 output instantly without touching the worker pool.
 
-The memory tier absorbs hot resubmissions; the disk tier (one
-``<key>.json`` per result under ``cache_dir``) survives service
-restarts and is shared between ``mcretime batch`` runs and a
-``mcretime serve`` instance pointed at the same directory.  Writes go
-through a temp-file rename so a killed process never leaves a torn
-entry behind; writers killed *between* the temp write and the rename
-leave a stale ``.tmp`` file, which construction and :meth:`clear`
-sweep.  Entries that fail to decode are quarantined (renamed to
-``<key>.json.corrupt``) on the first miss so later lookups do not
-re-read the bad bytes.
+The memory tier is the service's one store of finished jobs: the
+``memory_size`` most recently used :class:`~repro.service.jobs.JobRecord`
+values, failed jobs included, answer resubmission, status, waits and
+explanations.  The disk tier (one ``<key>.json`` per successful result
+under ``cache_dir``) survives service restarts and is shared between
+``mcretime batch`` runs and a ``mcretime serve`` instance pointed at
+the same directory.  Writes go through a temp-file rename so a killed
+process never leaves a torn entry behind; writers killed *between* the
+temp write and the rename leave a stale ``.tmp`` file, which
+construction and :meth:`clear` sweep.  Entries that fail to decode are
+quarantined (renamed to ``<key>.json.corrupt``) on the first miss so
+later lookups do not re-read the bad bytes.
 """
 
 from __future__ import annotations
@@ -22,14 +24,15 @@ from __future__ import annotations
 import json
 import os
 import threading
-from collections import OrderedDict
 from pathlib import Path
 
-from .jobs import JobResult
+from ..lru import LRU
+from .jobs import JobRecord, JobResult
 
 
 class ResultCache:
-    """LRU memory tier over an optional persistent disk tier."""
+    """LRU memory tier of finished jobs over an optional disk tier of
+    successful results."""
 
     def __init__(
         self, cache_dir: str | Path | None = None, memory_size: int = 128
@@ -37,14 +40,9 @@ class ResultCache:
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         if self.cache_dir is not None:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.memory_size = max(0, memory_size)
-        self._memory: OrderedDict[str, dict] = OrderedDict()
+        #: job id -> finished record (see the module docstring)
+        self.memory: LRU[str, JobRecord] = LRU(memory_size)
         self._lock = threading.Lock()
-        #: tier-attributed lookup counters (the service aggregates these
-        #: into the Prometheus registry)
-        self.memory_hits = 0
-        self.disk_hits = 0
-        self.misses = 0
         #: disk entries quarantined after a decode failure (the service
         #: surfaces this as ``repro_cache_corrupt_total``)
         self.corrupt = 0
@@ -86,92 +84,74 @@ class ResultCache:
             self.corrupt += 1
 
     def get(self, key: str) -> JobResult | None:
-        """Look *key* up, promoting disk hits into the memory tier."""
-        with self._lock:
-            data = self._memory.get(key)
-            if data is not None:
-                self._memory.move_to_end(key)
-                self.memory_hits += 1
-                return JobResult.from_dict(data)
-        if self.cache_dir is not None:
-            path = self._disk_path(key)
-            try:
-                text = path.read_text()
-            except OSError:
-                text = None
-            data = None
-            if text is not None:
-                try:
-                    data = json.loads(text)
-                    if not isinstance(data, dict):
-                        raise ValueError("cache entry is not an object")
-                except (json.JSONDecodeError, ValueError):
-                    # decodable never again: quarantine so the next
-                    # lookup goes straight to a miss instead of
-                    # re-parsing the same bad bytes
-                    data = None
-                    self._quarantine(path)
-            if data is not None:
-                with self._lock:
-                    self.disk_hits += 1
-                    self._remember(key, data)
-                return JobResult.from_dict(data)
-        with self._lock:
-            self.misses += 1
-        return None
+        """The successful result stored under *key*, or ``None``.
 
-    def put(self, key: str, result: JobResult) -> None:
-        """Store a completed result in both tiers (failures excluded:
-        a crash or timeout may be transient, so they stay retryable)."""
-        if not result.ok:
+        Memory first; a disk hit is promoted into the memory tier.  The
+        result is shared with the memory tier: callers must not mutate
+        it.
+        """
+        record = self.memory.get(key)
+        if record is not None and record.result.ok:
+            return record.result
+        if self.cache_dir is None:
+            return None
+        path = self._disk_path(key)
+        try:
+            text = path.read_text()
+        except OSError:
+            return None
+        try:
+            data = json.loads(text)
+            if not isinstance(data, dict):
+                raise ValueError("cache entry is not an object")
+        except (json.JSONDecodeError, ValueError):
+            # decodable never again: quarantine so the next lookup goes
+            # straight to a miss instead of re-parsing the same bad bytes
+            self._quarantine(path)
+            return None
+        result = JobResult.from_dict(data)
+        self.memory.put(key, JobRecord(key, result=result))
+        return result
+
+    def put(self, record: JobRecord) -> None:
+        """Hold a finished job in the memory tier, and write a successful
+        one to disk (failures stay retryable: a crash or timeout may be
+        transient)."""
+        self.memory.put(record.job_id, record)
+        result = record.result
+        if self.cache_dir is None or not result.ok:
+            return
+        path = self._disk_path(record.job_id)
+        if path.exists():
+            # content-addressed: an existing entry is already this
+            # result, so concurrent re-puts skip the disk write
             return
         data = result.to_dict()
         # cached-ness is a property of the lookup, not the stored value
         data["cached"] = False
-        with self._lock:
-            self._remember(key, data)
-        if self.cache_dir is not None:
-            path = self._disk_path(key)
-            if path.exists():
-                # content-addressed: an existing entry is already this
-                # result, so concurrent re-puts skip the disk write
-                return
-            # per-writer temp name: concurrent writers of the same key
-            # must never truncate each other's in-progress temp file
-            tmp = path.with_name(
-                f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-            )
-            try:
-                tmp.write_text(json.dumps(data))
-                os.replace(tmp, path)
-            finally:
-                tmp.unlink(missing_ok=True)
-
-    def _remember(self, key: str, data: dict) -> None:
-        if self.memory_size == 0:
-            return
-        self._memory[key] = data
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_size:
-            self._memory.popitem(last=False)
+        # per-writer temp name: concurrent writers of the same key
+        # must never truncate each other's in-progress temp file
+        tmp = path.with_name(
+            f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+        )
+        try:
+            tmp.write_text(json.dumps(data))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def __contains__(self, key: str) -> bool:
-        with self._lock:
-            if key in self._memory:
-                return True
-        return self.cache_dir is not None and self._disk_path(key).exists()
+        return self.get(key) is not None
 
     def __len__(self) -> int:
         """Number of distinct cached results (both tiers)."""
-        with self._lock:
-            keys = set(self._memory)
+        keys = {r.job_id for r in self.memory.values() if r.result.ok}
         if self.cache_dir is not None:
             keys.update(p.stem for p in self.cache_dir.glob("*.json"))
         return len(keys)
 
     def clear(self) -> None:
-        with self._lock:
-            self._memory.clear()
+        self.memory.clear()
         if self.cache_dir is not None:
             for path in self.cache_dir.glob("*.json"):
                 path.unlink(missing_ok=True)

@@ -8,7 +8,11 @@ values here.  Responsibilities:
 * content-addressed **deduplication**: identical submissions share one
   execution (and one cache entry);
 * the **two-tier cache** consult on submit — hits complete instantly
-  and never touch the worker pool;
+  and never touch the worker pool.  The cache's memory tier is the one
+  store of finished jobs: it holds at most ``cache_memory`` of them
+  and answers resubmission, status, waits and explanations, so an id
+  it has evicted is unknown (all-time totals stay in the
+  ``repro_jobs_*_total`` counters);
 * **metrics**: every lifecycle event increments the Prometheus
   registry, including per-stage latency histograms fed from
   ``FlowResult.timings`` and per-span histograms fed from the workers'
@@ -26,16 +30,17 @@ bucket points back at a concrete job.  Pass ``ledger=`` to append one
 
 from __future__ import annotations
 
-import json
+import dataclasses
 import os
 import threading
 import time
 from pathlib import Path
 
 from .. import __version__, obs
+from ..lru import LRU
 from .cache import ResultCache
 from .client import ServiceOverloadedError
-from .jobs import JobResult, RetimeJob, design_fingerprint
+from .jobs import JobRecord, JobResult, RetimeJob, design_fingerprint
 from .metrics import MetricsRegistry
 from .pool import PoolSaturatedError, RetimePool
 
@@ -46,6 +51,10 @@ _REQ_ROOT_ID = 1
 _REQ_ADMIT_ID = 2
 _REQ_QUEUE_ID = 3
 _REQ_DISPATCH_ID = 4
+
+#: recent designs whose canonical text ``POST /retime`` ECO bodies can
+#: name by ``base_key``
+_DESIGN_MEMORY = 128
 
 
 class RetimeService:
@@ -257,12 +266,12 @@ class RetimeService:
             )
 
         self._lock = threading.Lock()
-        #: job_id -> record dict (state machine mirrored for the HTTP API)
-        self._jobs: dict[str, dict] = {}
+        #: job id -> record of every job admitted to the pool and not
+        #: yet finished (finished ones live in ``self.cache.memory``)
+        self._inflight: dict[str, JobRecord] = {}
         #: design fingerprint -> canonical BLIF of recent submissions;
         #: what ``POST /retime`` ECO bodies resolve ``base_key`` against
-        self._design_texts: dict[str, str] = {}
-        self._design_texts_max = 128
+        self._designs: LRU[str, str] = LRU(_DESIGN_MEMORY)
 
     # -- submission ----------------------------------------------------
 
@@ -274,6 +283,11 @@ class RetimeService:
         Raises :class:`~repro.service.client.ServiceOverloadedError`
         when the pool's admission queue is full (backpressure).
         """
+        return self.admit(job).job_id
+
+    def admit(self, job: RetimeJob) -> JobRecord:
+        """:meth:`submit` returning the job's record, which stays
+        awaitable after the service has evicted it."""
         job_id = job.canonical_key
         self._submitted.inc()
         design_key = self._remember_design(job)
@@ -281,49 +295,36 @@ class RetimeService:
             self._eco_jobs.inc(plan="submitted")
             obs.count("service.eco.submitted")
         t0 = time.perf_counter()
-        submit_wall = time.time()
+        submitted_at = time.time()
         with obs.span("service.admit", job=job_id[:16]):
             with self._lock:
-                record = self._jobs.get(job_id)
-                if record is not None and record["state"] != "failed":
-                    if record["result"] is not None:
-                        # completed earlier this session: an in-memory hit —
-                        # re-mark the record so waiters see cached=True
-                        self._cache_hits.inc()
-                        obs.count("service.cache.hit")
-                        hit = JobResult.from_dict(record["result"].to_dict())
-                        hit.cached = True
-                        record["result"] = hit
-                        record["cached"] = True
-                        self._latency.observe(time.perf_counter() - t0)
-                        self.slo.observe(time.perf_counter() - t0)
-                    else:
-                        # still queued/running: coalesce onto the in-flight job
-                        self._deduped.inc()
-                        obs.count("service.cache.dedup")
-                    return job_id
+                record = self._inflight.get(job_id)
+            if record is not None:
+                # still queued/running: coalesce onto the in-flight job
+                self._deduped.inc()
+                obs.count("service.cache.dedup")
+                return record
             cached = self.cache.get(job_id)
             self._sync_cache_corrupt()
             if cached is not None:
-                cached.cached = True
-                cached.job_id = job_id
                 self._cache_hits.inc()
                 obs.count("service.cache.hit")
+                # the record answers for this latest submission
+                record = JobRecord(
+                    job_id,
+                    design_key,
+                    submitted_at,
+                    result=dataclasses.replace(
+                        cached, cached=True, job_id=job_id
+                    ),
+                )
+                self.cache.put(record)
                 # cache hits flow into the latency histogram too —
                 # otherwise a warm service reports p95 = 0.0 from an
                 # empty reservoir
                 self._latency.observe(time.perf_counter() - t0)
                 self.slo.observe(time.perf_counter() - t0)
-                with self._lock:
-                    self._jobs[job_id] = {
-                        "state": "done",
-                        "cached": True,
-                        "submitted_at": time.time(),
-                        "result": cached,
-                        "options": job.options(),
-                        "design_key": design_key,
-                    }
-                return job_id
+                return record
             self._cache_misses.inc()
             obs.count("service.cache.miss")
 
@@ -343,62 +344,47 @@ class RetimeService:
                 if self.trace_dir is not None
                 else None
             )
+            record = JobRecord(
+                job_id, design_key, submitted_at, options=job.options()
+            )
             with self._lock:
-                self._jobs[job_id] = {
-                    "state": "queued",
-                    "cached": False,
-                    "submitted_at": time.time(),
-                    "result": None,
-                    "options": job.options(),
-                    "design_key": design_key,
-                    "trace": {"submit_wall": submit_wall},
-                }
-            try:
-                with obs.span("service.shard", job=job_id[:16]):
-                    self.pool.submit(
-                        job_id,
-                        job,
-                        shard_key=shard_key,
-                        trace_ctx=trace_ctx,
-                    )
-            except PoolSaturatedError as exc:
-                self._shed.inc(exemplar={"run": job_id[:16]})
-                obs.count("service.shed")
-                self.slo.observe_shed()
-                with self._lock:
-                    self._jobs.pop(job_id, None)
-                raise ServiceOverloadedError(
-                    429, str(exc), retry_after=self._retry_after()
-                ) from None
-            with self._lock:
-                record = self._jobs.get(job_id)
-                if record is not None and "trace" in record:
-                    record["trace"]["admit_s"] = time.perf_counter() - t0
-        return job_id
+                # one step under the lock: nothing can coalesce onto a
+                # record that the pool then sheds
+                raced = self._inflight.setdefault(job_id, record)
+                if raced is not record:
+                    return raced
+                try:
+                    with obs.span("service.shard", job=job_id[:16]):
+                        self.pool.submit(
+                            job_id,
+                            job,
+                            shard_key=shard_key,
+                            trace_ctx=trace_ctx,
+                        )
+                except PoolSaturatedError as exc:
+                    del self._inflight[job_id]
+                    self._shed.inc(exemplar={"run": job_id[:16]})
+                    obs.count("service.shed")
+                    self.slo.observe_shed()
+                    raise ServiceOverloadedError(
+                        429, str(exc), retry_after=self._retry_after()
+                    ) from None
+            record.trace["admit_s"] = time.perf_counter() - t0
+        return record
 
     def _remember_design(self, job: RetimeJob) -> str:
         """Record the job's canonical netlist under its design
-        fingerprint (LRU) and return the fingerprint — the ``base_key``
+        fingerprint and return the fingerprint — the ``base_key``
         future ECO submissions address this design by."""
         canonical = job.canonical_netlist
         key = design_fingerprint(canonical)
-        with self._lock:
-            self._design_texts.pop(key, None)
-            self._design_texts[key] = canonical
-            while len(self._design_texts) > self._design_texts_max:
-                self._design_texts.pop(next(iter(self._design_texts)))
+        self._designs.put(key, canonical)
         return key
 
     def base_netlist(self, key: str) -> str | None:
         """Canonical BLIF of a recently seen design, by fingerprint
         (the ``POST /retime`` ECO path resolves ``base_key`` here)."""
-        with self._lock:
-            text = self._design_texts.get(key)
-            if text is not None:
-                # LRU touch
-                self._design_texts.pop(key)
-                self._design_texts[key] = text
-        return text
+        return self._designs.get(key)
 
     def _retry_after(self) -> float:
         """Backpressure hint: expected seconds to drain one queue slot."""
@@ -417,67 +403,39 @@ class RetimeService:
 
     def wait(self, job_id: str, timeout: float | None = None) -> JobResult:
         """Block until *job_id* completes (cache hits return at once)."""
-        with self._lock:
-            record = self._jobs.get(job_id)
+        record = self._record(job_id)
         if record is None:
             raise KeyError(f"unknown job {job_id}")
-        if record["result"] is not None:
-            return record["result"]
-        result = self.pool.wait(job_id, timeout=timeout)
-        with self._lock:
-            self._jobs[job_id]["result"] = result
-            self._jobs[job_id]["state"] = result.status
-        return result
+        return record.wait(timeout)
 
     def batch(
         self, jobs: list[RetimeJob], timeout: float | None = None
     ) -> list[JobResult]:
         """Fan *jobs* across the pool; results in submission order."""
-        ids = [self.submit(job) for job in jobs]
-        return [self.wait(job_id, timeout=timeout) for job_id in ids]
+        records = [self.admit(job) for job in jobs]
+        return [record.wait(timeout) for record in records]
 
     # -- introspection -------------------------------------------------
 
+    def _record(self, job_id: str) -> JobRecord | None:
+        with self._lock:
+            record = self._inflight.get(job_id)
+        # a finishing job enters the cache before it leaves _inflight
+        return record if record is not None else self.cache.memory.get(job_id)
+
     def status(self, job_id: str) -> dict | None:
         """JSON-friendly status record for ``GET /jobs/<id>``."""
-        with self._lock:
-            record = self._jobs.get(job_id)
-            if record is None:
-                return None
-            state = record["state"]
-            result = record["result"]
-            submitted_at = record["submitted_at"]
-            cached = record["cached"]
-            design_key = record.get("design_key")
-        if result is None and state not in ("done", "failed"):
-            # the pool has fresher in-flight state (running/retrying)
-            try:
-                state = self.pool.state(job_id)
-            except KeyError:
-                pass
-        out = {
-            "job_id": job_id,
-            "state": state,
-            "cached": cached,
-            "submitted_at": submitted_at,
-            "design_key": design_key,
-            "result": result.to_dict() if result is not None else None,
-        }
-        return out
+        record = self._record(job_id)
+        return record.to_dict() if record is not None else None
 
     def job_counts(self) -> dict[str, int]:
+        """Retained jobs by state: in flight, or among the cache's
+        finished jobs."""
         counts = {"queued": 0, "running": 0, "retrying": 0, "done": 0, "failed": 0}
         with self._lock:
-            ids = list(self._jobs)
-            for job_id in ids:
-                record = self._jobs[job_id]
-                state = record["state"]
-                if record["result"] is None and state not in ("done", "failed"):
-                    try:
-                        state = self.pool.state(job_id)
-                    except KeyError:
-                        pass
-                counts[state] = counts.get(state, 0) + 1
+            records = list(self._inflight.values())
+        for record in records + self.cache.memory.values():
+            counts[record.state] += 1
         return counts
 
     def cache_hit_rate(self) -> float:
@@ -505,6 +463,8 @@ class RetimeService:
     # -- pool event plumbing -------------------------------------------
 
     def _on_pool_event(self, kind: str, job_id: str, **info) -> None:
+        with self._lock:
+            record = self._inflight.get(job_id)
         if kind == "dispatch":
             queued = info.get("queued_seconds", 0.0)
             self._queue_wait.observe(queued, exemplar={"run": job_id[:16]})
@@ -514,95 +474,97 @@ class RetimeService:
             self._dispatched.inc(shard=str(info.get("worker", "?")))
             if info.get("stolen"):
                 self._stolen.inc()
-            with self._lock:
-                record = self._jobs.get(job_id)
-                trace = record.get("trace") if record else None
-            if trace is not None:
+            if record is not None:
+                record.state = "running"
                 # retries overwrite: the request timeline shows the
                 # dispatch that actually produced the result
-                trace.update(
+                record.trace.update(
                     dispatch_wall=info["dispatch_wall"],
                     queued_s=queued,
                     shard=info.get("shard"),
                     worker=info.get("worker"),
                     stolen=bool(info.get("stolen")),
                 )
-            return
-        if kind in ("done", "failed"):
-            result: JobResult = info["result"]
-            with self._lock:
-                record = self._jobs.get(job_id)
-                trace = record.get("trace") if record else None
-            if trace is not None:
-                submit_wall = trace.get("submit_wall", time.time())
-                self.slo.observe(
-                    time.time() - submit_wall, ok=kind == "done"
-                )
-                if self.trace_dir is not None:
-                    self._write_request_trace(job_id, trace)
-                    if self.bus is not None:
-                        self.bus.forget(job_id)
-            else:
-                self.slo.observe(result.elapsed, ok=kind == "done")
-        if kind == "done":
-            result = info["result"]
-            self._completed.inc()
-            self._latency.observe(result.elapsed)
-            for stage, seconds in result.metrics.get("timings", {}).items():
-                if stage != "total":
-                    self._stage_seconds.observe(seconds, stage=stage)
-            snapshot = result.metrics.get("obs")
-            if snapshot:
-                run = {"run": job_id[:16]}
-                for span, seconds in snapshot.get("spans", {}).items():
-                    self._span_seconds.observe(seconds, exemplar=run, span=span)
-            verify = result.metrics.get("verify")
-            if verify:
-                self._verify_checks.inc()
-                self._verify_seconds.observe(verify.get("seconds", 0.0))
-            eco = result.metrics.get("eco")
-            if eco:
-                self._eco_jobs.inc(plan=str(eco.get("plan", "unknown")))
-            explain = result.metrics.get("explain")
-            if explain:
-                # invalid certificates carry the job exemplar so a bad
-                # verdict points straight back at a re-runnable job
-                run = {"run": job_id[:16]}
-                summary = explain.get("summary") or {}
-                valid = bool(summary.get("valid", False))
-                self._explain_jobs.inc(exemplar=run)
-                certs = float(summary.get("certificates", 0) or 0)
-                if certs:
-                    self._explain_certs.inc(
-                        certs,
-                        exemplar=run,
-                        verdict="valid" if valid else "invalid",
-                    )
-                if not valid:
-                    self._explain_invalid.inc(exemplar=run)
-                seconds = result.metrics.get("timings", {}).get("explain")
-                if seconds is not None:
-                    self._explain_seconds.observe(float(seconds), exemplar=run)
-            self.cache.put(job_id, result)
-            self._record_final(job_id, result)
-            self._ledger_append(job_id, result)
-        elif kind == "failed":
-            self._failed.inc()
-            failure: JobResult = info["result"]
-            if failure.error is not None and (
-                failure.error.type == "VerificationError"
-            ):
-                self._verify_checks.inc()
-                self._verify_failures.inc()
-            self._record_final(job_id, failure)
+        elif kind in ("done", "failed"):
+            record = record or JobRecord(job_id)
+            try:
+                self._finish(record, info["result"])
+            finally:
+                # waiters wake only now: a client that saw the job finish
+                # must find its side effects (cache, ledger, metrics,
+                # trace) already durable
+                with self._lock:
+                    self._inflight.pop(job_id, None)
+                record.finished.set()
         elif kind == "retry":
             self._retried.inc()
+            if record is not None:
+                record.state = "retrying"
         elif kind == "timeout":
             self._timeouts.inc()
         elif kind == "crash":
             self._crashes.inc()
 
-    def _write_request_trace(self, job_id: str, trace: dict) -> None:
+    def _finish(self, record: JobRecord, result: JobResult) -> None:
+        """Record an executed job's outcome everywhere it goes."""
+        job_id = record.job_id
+        record.result = result
+        record.state = result.status
+        self.slo.observe(time.time() - record.submitted_at, ok=result.ok)
+        if self.trace_dir is not None:
+            self._write_request_trace(record)
+            if self.bus is not None:
+                self.bus.forget(job_id)
+        if not result.ok:
+            self._failed.inc()
+            if result.error is not None and (
+                result.error.type == "VerificationError"
+            ):
+                self._verify_checks.inc()
+                self._verify_failures.inc()
+            self.cache.put(record)
+            return
+        self._completed.inc()
+        self._latency.observe(result.elapsed)
+        for stage, seconds in result.metrics.get("timings", {}).items():
+            if stage != "total":
+                self._stage_seconds.observe(seconds, stage=stage)
+        snapshot = result.metrics.get("obs")
+        if snapshot:
+            run = {"run": job_id[:16]}
+            for span, seconds in snapshot.get("spans", {}).items():
+                self._span_seconds.observe(seconds, exemplar=run, span=span)
+        verify = result.metrics.get("verify")
+        if verify:
+            self._verify_checks.inc()
+            self._verify_seconds.observe(verify.get("seconds", 0.0))
+        eco = result.metrics.get("eco")
+        if eco:
+            self._eco_jobs.inc(plan=str(eco.get("plan", "unknown")))
+        explain = result.metrics.get("explain")
+        if explain:
+            # invalid certificates carry the job exemplar so a bad
+            # verdict points straight back at a re-runnable job
+            run = {"run": job_id[:16]}
+            summary = explain.get("summary") or {}
+            valid = bool(summary.get("valid", False))
+            self._explain_jobs.inc(exemplar=run)
+            certs = float(summary.get("certificates", 0) or 0)
+            if certs:
+                self._explain_certs.inc(
+                    certs,
+                    exemplar=run,
+                    verdict="valid" if valid else "invalid",
+                )
+            if not valid:
+                self._explain_invalid.inc(exemplar=run)
+            seconds = result.metrics.get("timings", {}).get("explain")
+            if seconds is not None:
+                self._explain_seconds.observe(float(seconds), exemplar=run)
+        self.cache.put(record)
+        self._ledger_append(record)
+
+    def _write_request_trace(self, record: JobRecord) -> None:
         """Write the front-end's synthetic request span tree.
 
         One ``<job>.req.jsonl`` per executed request, in the worker
@@ -621,9 +583,8 @@ class RetimeService:
 
         Best-effort: a full disk must never fail a completed job.
         """
-        submit_wall = trace.get("submit_wall")
-        if submit_wall is None:
-            return
+        job_id, trace = record.job_id, record.trace
+        submit_wall = record.submitted_at
         done_wall = time.time()
         total = max(0.0, done_wall - submit_wall)
         admit_s = min(total, trace.get("admit_s", 0.0))
@@ -712,10 +673,7 @@ class RetimeService:
             }
         )
         try:
-            path = self.trace_dir / f"{job16}.req.jsonl"
-            with path.open("w") as fh:
-                for event in events:
-                    fh.write(json.dumps(event, sort_keys=True) + "\n")
+            obs.write_jsonl(events, self.trace_dir / f"{job16}.req.jsonl")
         except OSError:
             pass
 
@@ -751,37 +709,29 @@ class RetimeService:
         Returns None when the job is unknown, unfinished, or was run
         without ``explain=True``.
         """
-        with self._lock:
-            record = self._jobs.get(job)
-            if record is None and len(job) >= 8:
-                matches = [k for k in self._jobs if k.startswith(job)]
-                record = (
-                    self._jobs[matches[0]] if len(matches) == 1 else None
-                )
-            result = record["result"] if record else None
-        if result is None:
+        record = self.cache.memory.get(job)
+        if record is None and len(job) >= 8:
+            matches = [
+                r for r in self.cache.memory.values() if r.job_id.startswith(job)
+            ]
+            record = matches[0] if len(matches) == 1 else None
+        if record is None:
             return None
-        explain = result.metrics.get("explain")
+        explain = record.result.metrics.get("explain")
         if not explain:
             return None
         return {
-            "job_id": result.job_id,
-            "cached": result.cached,
+            "job_id": record.result.job_id,
+            "cached": record.result.cached,
             "summary": explain.get("summary"),
             "explanation": explain.get("explanation"),
         }
 
-    def _record_final(self, job_id: str, result: JobResult) -> None:
-        with self._lock:
-            record = self._jobs.get(job_id)
-            if record is not None:
-                record["result"] = result
-                record["state"] = result.status
-
-    def _ledger_append(self, job_id: str, result: JobResult) -> None:
+    def _ledger_append(self, record: JobRecord) -> None:
         """Append one ``service.job`` record to the service run ledger."""
         if self.ledger is None:
             return
+        job_id, result = record.job_id, record.result
         snapshot = result.metrics.get("obs") or {}
         metrics = {
             key: value
@@ -798,16 +748,13 @@ class RetimeService:
                     metrics[f"explain_{key}"] = int(value)
                 elif isinstance(value, (int, float)):
                     metrics[f"explain_{key}"] = value
-        with self._lock:
-            record = self._jobs.get(job_id) or {}
-            config = dict(record.get("options") or {})
         try:
             self.ledger.append(
                 obs.build_record(
                     kind="service.job",
                     run_id=job_id[:16],
                     fingerprint=job_id,
-                    config=config,
+                    config=dict(record.options or {}),
                     spans=snapshot.get("spans") or {},
                     self_times=snapshot.get("self_times") or {},
                     counters=snapshot.get("counters") or {},

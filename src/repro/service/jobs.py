@@ -24,7 +24,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from pathlib import Path
 
 from .. import obs
@@ -36,6 +36,7 @@ from ..flows import (
     pipeline_flow,
     retime_flow,
 )
+from ..lru import LRU
 from ..mcretime import MCRetimeResult, mc_retime
 from ..pipeline import cslow_retime, pipeline_retime
 from ..netlist import (
@@ -83,17 +84,16 @@ def _parse(netlist: str, fmt: str, name: str) -> Circuit:
     return read_blif(netlist, name_hint=name)
 
 
-# Four entries: a target-period sweep cycles through a few designs per
-# worker (the 1-worker sweep of benchmarks/bench_service.py through 4),
-# and an LRU cache smaller than that cycle never hits.  Served traffic
-# needs no more: the result cache answers resubmitted designs and every
-# ECO job ships new text, so further entries would only hold memory.
-@lru_cache(maxsize=4)
-def _parse_once(netlist: str, fmt: str, name: str) -> Circuit:
-    """A worker's parse cache for the ``mcretime`` flow: the shard ring
-    routes every job on one design to one worker, so a target-period
-    sweep parses the design once.  Callers must not mutate the result."""
-    return _parse(netlist, fmt, name)
+#: A worker's parse cache for the ``mcretime`` flow, keyed by
+#: ``(netlist, fmt, name)``: the shard ring routes every job on one
+#: design to one worker, so a target-period sweep parses the design
+#: once.  Four entries: a sweep cycles through a few designs per worker
+#: (the 1-worker sweep of benchmarks/bench_service.py through 4), and
+#: an LRU smaller than that cycle never hits.  Served traffic needs no
+#: more: the result cache answers resubmitted designs and every ECO job
+#: ships new text, so further entries would only hold memory.  Callers
+#: must not mutate a cached circuit: it serves every job on the design.
+_PARSED: "LRU[tuple[str, str, str], Circuit]" = LRU(4)
 
 
 def design_fingerprint(canonical_text: str) -> str:
@@ -336,13 +336,63 @@ class JobResult:
         return cls(**data)
 
 
+@dataclass(eq=False)
+class JobRecord:
+    """One admitted job as the service holds it.
+
+    The service keeps a record in flight from admission until
+    :attr:`result` is set, then as one of the result cache's finished
+    jobs.  A record built with its result is finished at once.
+    """
+
+    job_id: str
+    #: fingerprint of the job's canonical netlist (its ECO ``base_key``)
+    design_key: str | None = None
+    #: wall-clock time of the submission this record answers
+    submitted_at: float = field(default_factory=time.time)
+    #: ``queued`` | ``running`` | ``retrying`` | ``done`` | ``failed``
+    state: str = "queued"
+    result: JobResult | None = None
+    #: execution options of an executed job (its run-ledger config)
+    options: dict | None = None
+    #: the front-end request timeline of an executed job
+    trace: dict = field(default_factory=dict)
+    #: set once ``result`` is final and every side effect is durable
+    finished: threading.Event = field(
+        default_factory=threading.Event, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.result is not None:
+            self.state = self.result.status
+            self.finished.set()
+
+    def wait(self, timeout: float | None = None) -> JobResult:
+        """Block until the job finishes; raises ``TimeoutError``."""
+        if not self.finished.wait(timeout):
+            raise TimeoutError(
+                f"job {self.job_id} did not finish in {timeout}s"
+            )
+        return self.result
+
+    def to_dict(self) -> dict[str, object]:
+        """The JSON-friendly status record of ``GET /jobs/<id>``."""
+        result = self.result
+        return {
+            "job_id": self.job_id,
+            "state": self.state,
+            "cached": result is not None and result.cached,
+            "submitted_at": self.submitted_at,
+            "design_key": self.design_key,
+            "result": result.to_dict() if result is not None else None,
+        }
+
+
 #: worker-local ECO states, keyed by (base fingerprint, delay model,
 #: semantic classes) — one per base design the worker has seen.  The
-#: shard ring routes every job for one base to the same worker, so this
-#: small LRU gives the warm path its prefix/solve-cache reuse.
-_ECO_STATES: "dict[tuple, object]" = {}
-_ECO_STATES_MAX = 4
-_ECO_LOCK = threading.Lock()
+#: shard ring routes every job for one base to the same worker, so
+#: repeated edits of one base find its prefix and solve cache here.
+_ECO_STATES: "LRU[tuple, object]" = LRU(4)
 
 
 def _eco_state(job: RetimeJob, model):
@@ -354,12 +404,9 @@ def _eco_state(job: RetimeJob, model):
     if job.base_key is None or job.base_netlist is None:
         return None
     key = (job.base_key, job.resolved_delay_model(), job.semantic_classes)
-    with _ECO_LOCK:
-        state = _ECO_STATES.get(key)
-        if state is not None:
-            # LRU touch
-            _ECO_STATES[key] = _ECO_STATES.pop(key)
-            return state
+    state = _ECO_STATES.get(key)
+    if state is not None:
+        return state
     try:
         base = read_blif(job.base_netlist, name_hint=job.name)
         check_circuit(base)
@@ -369,10 +416,7 @@ def _eco_state(job: RetimeJob, model):
     state = EcoState(
         base, delay_model=model, semantic_classes=job.semantic_classes
     )
-    with _ECO_LOCK:
-        while len(_ECO_STATES) >= _ECO_STATES_MAX:
-            _ECO_STATES.pop(next(iter(_ECO_STATES)))
-        _ECO_STATES[key] = state
+    _ECO_STATES.put(key, state)
     return state
 
 
@@ -502,7 +546,7 @@ def run_payload(
     request span that dispatched the job:
 
     * ``worker.resolve`` — rebuild the job and, for the plain
-      ``mcretime`` flow, parse its netlist through :func:`_parse_once`;
+      ``mcretime`` flow, parse its netlist through :data:`_PARSED`;
     * ``job.execute`` — the flow proper (inside :func:`execute_job`,
       whose inner ``job_trace`` joins this outer tracer);
     * ``worker.respond`` — result serialisation for the return pipe.
@@ -516,7 +560,11 @@ def run_payload(
             job = RetimeJob.from_dict(payload)
             circuit = None
             if job.flow == "mcretime" and job.transform is None:
-                circuit = _parse_once(job.netlist, job.fmt, job.name)
+                key = (job.netlist, job.fmt, job.name)
+                circuit = _PARSED.get(key)
+                if circuit is None:
+                    circuit = _parse(*key)
+                    _PARSED.put(key, circuit)
         result = execute_job(job, job_id=job_id, circuit=circuit)
         with obs.span("worker.respond", job=job_id[:16]):
             data = result.to_dict()

@@ -41,8 +41,9 @@ Design points:
   a deterministic failure just wastes workers.
 
 The supervisor runs on a daemon thread, so :meth:`RetimePool.submit`
-returns immediately and results are awaited per-job via
-:meth:`RetimePool.wait` (or in bulk via :meth:`RetimePool.run`).
+returns immediately.  Every outcome reaches the owner through the
+``on_event`` callback, after which the pool forgets the job: it holds
+only jobs still queued, running or waiting to retry.
 """
 
 from __future__ import annotations
@@ -121,17 +122,14 @@ def _worker_main(task_q, result_q, env=None, telemetry_q=None) -> None:
 
 @dataclass
 class _Entry:
-    """Supervisor-side bookkeeping for one submitted job."""
+    """Supervisor-side bookkeeping for one unfinished job."""
 
     job: RetimeJob
     shard: int = 0
     #: propagated trace context minted by the front-end, shipped with
     #: the dispatch so the worker can stamp (pid, parent_span)
     trace_ctx: dict | None = None
-    state: str = "queued"  # queued | running | retrying | done | failed
     attempts: int = 0
-    result: JobResult | None = None
-    event: threading.Event = field(default_factory=threading.Event)
     submitted_at: float = field(default_factory=time.monotonic)
 
 
@@ -172,8 +170,9 @@ class RetimePool:
             ``None`` admits unboundedly (the legacy behaviour).
         on_event: optional callback ``(kind, job_id, **info)`` invoked
             from the supervisor threads for ``done`` / ``failed`` /
-            ``retry`` / ``timeout`` / ``crash`` / ``dispatch`` events —
-            the service layer hangs its metrics off this.
+            ``retry`` / ``timeout`` / ``crash`` / ``dispatch`` events;
+            ``done`` and ``failed`` carry the job's ``result`` and are
+            the only way a result leaves the pool.
         worker_env: environment variables applied in every worker
             process before it takes jobs (tracing configuration).
         start_method: multiprocessing start method (``"fork"`` /
@@ -307,7 +306,7 @@ class RetimePool:
         shard = self._ring.shard(shard_key if shard_key is not None else job_id)
         with self._lock:
             entry = self._entries.get(job_id)
-            if entry is not None and not entry.event.is_set():
+            if entry is not None:
                 return entry.shard  # already queued or running: coalesce
             if (
                 self.max_pending is not None
@@ -321,25 +320,6 @@ class RetimePool:
             self._pending_total += 1
         self._wake.set()
         return shard
-
-    def wait(self, job_id: str, timeout: float | None = None) -> JobResult:
-        """Block until *job_id* finishes; raises ``TimeoutError``."""
-        with self._lock:
-            entry = self._entries[job_id]
-        if not entry.event.wait(timeout):
-            raise TimeoutError(f"job {job_id} did not finish in {timeout}s")
-        assert entry.result is not None
-        return entry.result
-
-    def state(self, job_id: str) -> str:
-        with self._lock:
-            return self._entries[job_id].state
-
-    def run(self, jobs: dict[str, RetimeJob]) -> dict[str, JobResult]:
-        """Submit every job, wait for all, return results by id."""
-        for job_id, job in jobs.items():
-            self.submit(job_id, job)
-        return {job_id: self.wait(job_id) for job_id in jobs}
 
     # -- introspection -------------------------------------------------
 
@@ -464,9 +444,8 @@ class RetimePool:
                     return
                 worker, (job_id, attempt, stolen, home) = assignment
                 entry = self._entries.get(job_id)
-                if entry is None or entry.event.is_set():
+                if entry is None:
                     continue  # stale queue entry; pick again
-                entry.state = "running"
                 entry.attempts = attempt
                 payload = entry.job.to_dict()
                 queued_s = time.monotonic() - entry.submitted_at
@@ -498,13 +477,9 @@ class RetimePool:
                     time.monotonic() - worker.held[2]
                 )
                 worker.held = None
-            entry = self._entries.get(job_id)
-        if entry is None:
-            return
         if kind == "done":
             result = JobResult.from_dict(payload)
             result.attempts = attempt
-            self._finish(entry, job_id, result)
         else:  # deterministic Python-level failure: no retry
             result = JobResult(
                 job_id=job_id,
@@ -512,19 +487,14 @@ class RetimePool:
                 error=JobFailure(**payload),
                 attempts=attempt,
             )
-            self._finish(entry, job_id, result)
+        self._finish(job_id, result)
 
-    def _finish(self, entry: _Entry, job_id: str, result: JobResult) -> None:
-        if entry.event.is_set():
-            return  # a raced duplicate (timeout kill vs. late done)
+    def _finish(self, job_id: str, result: JobResult) -> None:
+        """Forget the job and hand its result to the owner."""
         with self._lock:
-            entry.result = result
-            entry.state = result.status
-        # observers (cache/ledger/metrics writes) run BEFORE waiters
-        # wake: a client that saw the job finish must find its side
-        # effects already durable
+            if self._entries.pop(job_id, None) is None:
+                return  # a raced duplicate (timeout kill vs. late done)
         self._emit(result.status, job_id, result=result)
-        entry.event.set()
 
     def _reap_dead_workers(self) -> None:
         with self._lock:
@@ -604,12 +574,11 @@ class RetimePool:
     ) -> None:
         with self._lock:
             entry = self._entries.get(job_id)
-        if entry is None or entry.event.is_set():
+        if entry is None:
             return
         if attempt <= self.max_retries:
             delay = self.retry_backoff * (2 ** (attempt - 1))
             with self._lock:
-                entry.state = "retrying"
                 entry.attempts = attempt + 1
             heapq.heappush(
                 self._retry_heap, (time.monotonic() + delay, job_id)
@@ -622,7 +591,7 @@ class RetimePool:
                 error=JobFailure(type=reason, message=message),
                 attempts=attempt,
             )
-            self._finish(entry, job_id, result)
+            self._finish(job_id, result)
 
     def _release_retries(self) -> None:
         now = time.monotonic()
@@ -630,7 +599,7 @@ class RetimePool:
             _ready, job_id = heapq.heappop(self._retry_heap)
             with self._lock:
                 entry = self._entries.get(job_id)
-                if entry is None or entry.event.is_set():
+                if entry is None:
                     continue
                 # retries bypass the admission bound: the job was
                 # already admitted once

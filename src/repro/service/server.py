@@ -19,8 +19,10 @@ Endpoints (see ``docs/SERVICE.md`` for the full reference):
   holding the base's warm solver state, which retimes incrementally
   (bit-identical to a cold solve).  Unknown ``base_key`` or a
   malformed script is a ``400``.
-* ``GET /jobs/<id>`` — job status/result by content-addressed id.
-* ``GET /healthz`` — liveness plus worker/queue/job counts.
+* ``GET /jobs/<id>`` — job status/result by content-addressed id
+  (404 once the service has evicted a finished job).
+* ``GET /healthz`` — liveness plus worker/queue counts and the
+  retained jobs by state.
 * ``GET /metrics`` — Prometheus text exposition (with exemplars).
 * ``GET /slo`` — SLO burn rates over the rolling window
   (:mod:`repro.obs.slo`; targets from the service's SLO config).
@@ -506,10 +508,10 @@ class AsyncRetimeServer:
 
         def admit():
             job = job_from_request(parsed, resolve_base=service.base_netlist)
-            job_id = service.submit(job)
+            record = service.admit(job)
             if parsed.get("wait"):
-                service.wait(job_id)
-            return service.status(job_id)
+                record.wait()
+            return record.to_dict()
 
         try:
             record = await self._in_executor(admit)

@@ -160,6 +160,20 @@ def test_solve_cache_eviction_is_lru_bounded():
     )
 
 
+def test_solve_cache_keeps_the_entry_it_just_reused():
+    """A reuse refreshes its entry, so the next insertion evicts the
+    least recently used solve instead."""
+    base = _base()
+    state = EcoState(base, delay_model=XC4000E_DELAY, max_solve_records=2)
+    a, b, e = [RETYPE_CARRY], [RETYPE_BUF], []
+    plans = [eco_retime(state, edit).plan for edit in (a, b, a, e)]
+    assert plans == ["resolve", "resolve", "reuse", "resolve"]
+    last_a = eco_retime(state, a)
+    assert last_a.plan == "reuse"
+    _assert_matches_cold(last_a, apply_edit_script(base, a), XC4000E_DELAY)
+    assert eco_retime(state, b).plan == "resolve"
+
+
 def test_accepts_edited_circuit_instead_of_script():
     base = _base()
     state = EcoState(base, delay_model=XC4000E_DELAY)

@@ -4,69 +4,71 @@ import json
 import os
 import threading
 
-from repro.service import JobFailure, JobResult, ResultCache
+from repro.service import JobFailure, JobRecord, JobResult, ResultCache
 
 
-def _result(job_id="k", output="netlist"):
-    return JobResult(job_id=job_id, status="done", output=output)
+def _record(job_id="k", output="netlist"):
+    return JobRecord(
+        job_id, result=JobResult(job_id=job_id, status="done", output=output)
+    )
 
 
 class TestMemoryTier:
     def test_put_get(self):
         cache = ResultCache()
-        cache.put("k", _result())
+        cache.put(_record())
         hit = cache.get("k")
         assert hit is not None and hit.output == "netlist"
-        assert cache.memory_hits == 1
 
     def test_miss(self):
         cache = ResultCache()
         assert cache.get("absent") is None
-        assert cache.misses == 1
 
     def test_lru_eviction(self):
         cache = ResultCache(memory_size=2)
         for key in ("a", "b", "c"):
-            cache.put(key, _result(job_id=key))
+            cache.put(_record(key))
         assert cache.get("a") is None  # evicted, no disk tier
         assert cache.get("c") is not None
 
     def test_lru_touch_on_get(self):
         cache = ResultCache(memory_size=2)
-        cache.put("a", _result(job_id="a"))
-        cache.put("b", _result(job_id="b"))
+        cache.put(_record("a"))
+        cache.put(_record("b"))
         cache.get("a")  # refresh a; c should evict b instead
-        cache.put("c", _result(job_id="c"))
+        cache.put(_record("c"))
         assert cache.get("a") is not None
         assert cache.get("b") is None
 
     def test_failures_not_cached(self):
         cache = ResultCache()
         cache.put(
-            "k",
-            JobResult(
-                job_id="k",
-                status="failed",
-                error=JobFailure(type="timeout", message="slow"),
-            ),
+            JobRecord(
+                "k",
+                result=JobResult(
+                    job_id="k",
+                    status="failed",
+                    error=JobFailure(type="timeout", message="slow"),
+                ),
+            )
         )
         assert cache.get("k") is None
 
 
 class TestDiskTier:
     def test_survives_new_instance(self, tmp_path):
-        ResultCache(tmp_path).put("k", _result())
+        ResultCache(tmp_path).put(_record())
         fresh = ResultCache(tmp_path)
         hit = fresh.get("k")
         assert hit is not None and hit.output == "netlist"
-        assert fresh.disk_hits == 1
 
     def test_disk_hit_promotes_to_memory(self, tmp_path):
-        ResultCache(tmp_path).put("k", _result())
+        ResultCache(tmp_path).put(_record())
         fresh = ResultCache(tmp_path)
-        fresh.get("k")
-        fresh.get("k")
-        assert fresh.disk_hits == 1 and fresh.memory_hits == 1
+        assert fresh.get("k") is not None
+        (tmp_path / "k.json").unlink()
+        hit = fresh.get("k")
+        assert hit is not None and hit.output == "netlist"
 
     def test_torn_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -86,7 +88,7 @@ class TestDiskTier:
         assert cache.get("bad") is None
         assert cache.corrupt == 1
         # a fresh result under the same key is cacheable again
-        cache.put("bad", _result(job_id="bad"))
+        cache.put(_record("bad"))
         fresh = ResultCache(tmp_path)
         assert fresh.get("bad") is not None
 
@@ -110,12 +112,12 @@ class TestDiskTier:
         cache = ResultCache(tmp_path)
         assert not stale.exists()
         # sweeping never touches real entries
-        cache.put("k", _result())
+        cache.put(_record())
         assert ResultCache(tmp_path).get("k") is not None
 
     def test_stale_tmp_swept_on_clear(self, tmp_path):
         cache = ResultCache(tmp_path)
-        cache.put("k", _result())
+        cache.put(_record())
         stale = tmp_path / ".other.json.999.888.tmp"
         stale.write_text("junk")
         (tmp_path / "dead.json.corrupt").write_text("junk")
@@ -125,8 +127,8 @@ class TestDiskTier:
 
     def test_contains_len_clear(self, tmp_path):
         cache = ResultCache(tmp_path, memory_size=1)
-        cache.put("a", _result(job_id="a"))
-        cache.put("b", _result(job_id="b"))  # a evicted from memory only
+        cache.put(_record("a"))
+        cache.put(_record("b"))  # a evicted from memory only
         assert "a" in cache and "b" in cache
         assert len(cache) == 2
         cache.clear()
@@ -143,9 +145,9 @@ class TestConcurrentAccess:
             lambda src, dst: (writes.append(dst), real_replace(src, dst)),
         )
         cache = ResultCache(tmp_path)
-        cache.put("k", _result())
-        cache.put("k", _result())
-        cache.put("k", _result())
+        cache.put(_record())
+        cache.put(_record())
+        cache.put(_record())
         assert len(writes) == 1
 
     def test_parallel_writers_and_readers_no_corruption(self, tmp_path):
@@ -158,7 +160,7 @@ class TestConcurrentAccess:
             try:
                 for round_no in range(30):
                     key = keys[(seed + round_no) % len(keys)]
-                    cache.put(key, _result(job_id=key, output=f"net-{key}"))
+                    cache.put(_record(key, output=f"net-{key}"))
                     hit = cache.get(key)
                     if hit is not None and hit.output != f"net-{key}":
                         errors.append((key, hit.output))

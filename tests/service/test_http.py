@@ -183,3 +183,31 @@ class TestRunsAndProfile:
         scope = client._request("GET", "/debug/profile?seconds=0.2&interval=0.01")
         assert scope["$schema"].startswith("https://www.speedscope.app")
         assert scope["profiles"][0]["type"] == "sampled"
+
+
+class TestNoRetainedJobs:
+    def test_wait_returns_the_result_with_cache_memory_zero(self):
+        """With no finished job retained, a blocking POST still answers
+        from the record it waited on; the id is a 404 afterwards."""
+        service = RetimeService(workers=1, job_timeout=120.0, cache_memory=0)
+        httpd = make_server(service, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        client = RetimeClient(f"http://127.0.0.1:{httpd.server_address[1]}")
+        try:
+            text = (DATA / "c2_small_mapped.blif").read_text()
+            record = client.retime(text, name="c2_small_mapped")
+            assert record["state"] == "done"
+            assert record["result"]["output"].startswith(".model")
+            again = client.retime(text, name="c2_small_mapped")
+            assert again["state"] == "done" and again["cached"] is False
+            assert again["result"]["output"] == record["result"]["output"]
+            with pytest.raises(ServiceError) as info:
+                client.job(record["job_id"])
+            assert info.value.status == 404
+            assert client.healthz()["jobs"]["done"] == 0
+        finally:
+            client.close()
+            httpd.shutdown()
+            httpd.server_close()
+            service.close()

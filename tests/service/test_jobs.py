@@ -141,22 +141,36 @@ class TestExecuteJob:
         assert "module" in result.output
 
 
+def _count_parses(monkeypatch) -> list:
+    """Empty the worker parse cache and log every parse made."""
+    jobs_module._PARSED.clear()
+    parses = []
+    real = jobs_module._parse
+
+    def parse(*args):
+        parses.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(jobs_module, "_parse", parse)
+    return parses
+
+
 class TestRunPayload:
-    def test_mcretime_job_parses_once(self):
+    def test_mcretime_job_parses_once(self, monkeypatch):
         """The worker parse cache serves the second dispatch of a design."""
-        jobs_module._parse_once.cache_clear()
         job = RetimeJob(netlist=TINY, name="tiny")
-        first = run_payload(job.canonical_key, job.to_dict())
-        second = run_payload(job.canonical_key, job.to_dict())
-        info = jobs_module._parse_once.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        key = job.canonical_key
+        parses = _count_parses(monkeypatch)
+        first = run_payload(key, job.to_dict())
+        second = run_payload(key, job.to_dict())
+        assert len(parses) == 1
+        assert len(jobs_module._PARSED) == 1
         assert first["status"] == second["status"] == "done"
         assert first["output"] == second["output"]
 
-    def test_transform_job_bypasses_the_cache(self):
-        jobs_module._parse_once.cache_clear()
+    def test_transform_job_bypasses_the_cache(self, monkeypatch):
         job = RetimeJob(netlist=TINY, name="tiny", transform="pipeline")
+        _count_parses(monkeypatch)
         data = run_payload(job.canonical_key, job.to_dict())
         assert data["status"] == "done"
-        info = jobs_module._parse_once.cache_info()
-        assert (info.misses, info.hits) == (0, 0)
+        assert len(jobs_module._PARSED) == 0

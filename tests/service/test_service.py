@@ -174,3 +174,74 @@ class TestStatusTracking:
         # the module-scoped service has retimed several designs by now
         assert hist.count(stage="minperiod") > 0
         assert hist.percentile(95, stage="minperiod") >= 0.0
+
+
+class TestBoundedState:
+    def test_keeps_cache_memory_finished_jobs_and_no_pool_entry(self):
+        """Five finished jobs under ``cache_memory=2``: the front-end
+        keeps the newest two, the pool keeps none, and the oldest
+        re-executes when resubmitted."""
+        svc = RetimeService(workers=1, cache_memory=2)
+        try:
+            jobs = [
+                RetimeJob.from_file(DATA / f"{name}.blif", explain=True)
+                for name in DESIGNS + [f"{n}_mapped" for n in DESIGNS]
+            ]
+            jobs.append(
+                RetimeJob.from_file(
+                    DATA / "c2_small.blif", explain=True, objective="minperiod"
+                )
+            )
+            # one at a time, so the jobs finish in submission order
+            results = [svc.batch([job], timeout=120)[0] for job in jobs]
+            assert all(r.ok for r in results)
+            ids = [job.canonical_key for job in jobs]
+            counts = svc.job_counts()
+            assert counts["done"] + counts["failed"] == 2
+            assert sum(counts.values()) == 2
+            assert svc.pool._entries == {}
+            for old in ids[:3]:
+                assert svc.status(old) is None
+                assert svc.explanation(old) is None
+                with pytest.raises(KeyError):
+                    svc.wait(old)
+            for new, result in zip(ids[3:], results[3:]):
+                assert svc.status(new)["state"] == "done"
+                assert svc.wait(new, timeout=5).output == result.output
+                assert svc.explanation(new)["summary"]["valid"] is True
+
+            misses = svc.metrics.counter("repro_cache_misses_total")
+            completed = svc.metrics.counter("repro_jobs_completed_total")
+            before = (misses.total(), completed.total())
+            again = svc.batch([jobs[0]], timeout=120)[0]
+            assert (misses.total(), completed.total()) == (
+                before[0] + 1,
+                before[1] + 1,
+            )
+            assert not again.cached
+            assert again.output == results[0].output
+        finally:
+            svc.close()
+
+    def test_in_flight_job_outlives_evictions(self, tmp_path):
+        """Finished jobs churn a one-entry store while a job is still
+        running; the running job keeps answering status and wait."""
+        jobs = [RetimeJob.from_file(DATA / f"{name}.blif") for name in DESIGNS]
+        with RetimeService(workers=1, cache_dir=tmp_path) as warm:
+            assert all(r.ok for r in warm.batch(jobs, timeout=120))
+        svc = RetimeService(
+            workers=1, cache_dir=tmp_path, cache_memory=1,
+            job_timeout=1.0, max_retries=0,
+        )
+        try:
+            hang = svc.submit(
+                RetimeJob.from_file(DATA / "c2_small.blif", flow="__hang__")
+            )
+            # two disk hits finish at once; the second evicts the first
+            assert all(r.cached for r in svc.batch(jobs, timeout=30))
+            assert svc.status(jobs[0].canonical_key) is None
+            assert svc.status(hang)["state"] in ("queued", "running")
+            assert svc.wait(hang, timeout=30).error.type == "timeout"
+            assert svc.status(hang)["state"] == "failed"
+        finally:
+            svc.close()
