@@ -14,46 +14,25 @@ edited design three ways:
   content-addressed solve cache (plan ``reuse``: relocation only).
 
 Every incremental result is differentially checked bit-identical to
-the cold solve (netlist bytes + deterministic metrics) unless
-``--no-verify``.  The headline number is the **revisit speedup**
-(cold median / revisit median) — the regime an ECO service lives in,
-where candidate fixes are toggled, re-examined, and re-submitted.
-
-Writes ``benchmarks/BENCH_eco.json`` (override with
-``REPRO_BENCH_ECO_OUT``) and appends one ``bench.eco`` run-ledger
-record for the perf sentinel.
-
-Runs under pytest (``pytest benchmarks/bench_eco.py``) or standalone::
+the cold solve (netlist bytes + deterministic metrics).  The headline
+number is the **revisit speedup** (cold median / revisit median) — the
+regime an ECO service lives in, where candidate fixes are toggled,
+re-examined, and re-submitted.  The JSON report goes to stdout::
 
     PYTHONPATH=src:. python benchmarks/bench_eco.py [--quick] [--check]
-        [--designs NTT4,MAC6] [--edits 8] [--no-verify]
 
-With ``--check`` the exit status enforces the committed contract:
-revisit speedup >= MIN_SPEEDUP (10x) on every benchmarked design.
+With ``--check`` the exit status enforces the speedup floor: revisit
+speedup >= MIN_SPEEDUP (10x) on every benchmarked design.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import platform
 import statistics
 import sys
 import time
-from pathlib import Path
-
-try:
-    from benchmarks._ledger import append_run
-except ImportError:  # standalone: python benchmarks/bench_eco.py
-    from _ledger import append_run
-
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_ECO_OUT",
-        Path(__file__).resolve().parent / "BENCH_eco.json",
-    )
-)
 
 FULL_DESIGNS = ["NTT4", "BFLY8", "MODMUL6", "MAC6"]
 QUICK_DESIGNS = ["NTT4", "BFLY8"]
@@ -83,7 +62,7 @@ def _edit_scripts(circuit, n_edits: int) -> list[list[dict]]:
     ]
 
 
-def bench_design(name: str, n_edits: int, verify: bool) -> dict[str, object]:
+def bench_design(name: str, n_edits: int) -> dict[str, object]:
     from repro.eco import (
         EcoState,
         apply_edit_script,
@@ -116,17 +95,16 @@ def bench_design(name: str, n_edits: int, verify: bool) -> dict[str, object]:
         revisit_s.append(sec)
         for eco in (first, revisit):
             plans[eco.plan] = plans.get(eco.plan, 0) + 1
-            if verify:
-                if write_blif(eco.result.circuit) != write_blif(cold.circuit):
-                    raise AssertionError(
-                        f"{name} {ops}: ECO netlist diverged from cold"
-                    )
-                if deterministic_metrics(eco.result) != deterministic_metrics(
-                    cold
-                ):
-                    raise AssertionError(
-                        f"{name} {ops}: ECO metrics diverged from cold"
-                    )
+            if write_blif(eco.result.circuit) != write_blif(cold.circuit):
+                raise AssertionError(
+                    f"{name} {ops}: ECO netlist diverged from cold"
+                )
+            if deterministic_metrics(eco.result) != deterministic_metrics(
+                cold
+            ):
+                raise AssertionError(
+                    f"{name} {ops}: ECO metrics diverged from cold"
+                )
 
     cold_med = statistics.median(cold_s)
     first_med = statistics.median(first_s)
@@ -141,21 +119,13 @@ def bench_design(name: str, n_edits: int, verify: bool) -> dict[str, object]:
         "revisit_median_s": revisit_med,
         "first_visit_speedup": cold_med / max(first_med, 1e-12),
         "revisit_speedup": cold_med / max(revisit_med, 1e-12),
-        "verified": verify,
     }
 
 
-def run_bench(
-    quick: bool = False,
-    designs: list[str] | None = None,
-    n_edits: int | None = None,
-    verify: bool = True,
-) -> dict[str, object]:
-    if designs is None:
-        designs = QUICK_DESIGNS if quick else FULL_DESIGNS
-    if n_edits is None:
-        n_edits = 4 if quick else 8
-    rows = {name: bench_design(name, n_edits, verify) for name in designs}
+def run_bench(quick: bool = False) -> dict[str, object]:
+    designs = QUICK_DESIGNS if quick else FULL_DESIGNS
+    n_edits = 4 if quick else 8
+    rows = {name: bench_design(name, n_edits) for name in designs}
     speedups = {name: row["revisit_speedup"] for name, row in rows.items()}
     aggregate = {
         "designs_at_floor": sum(
@@ -165,80 +135,30 @@ def run_bench(
         "speedup_max": max(speedups.values()),
         "revisit_speedups": speedups,
     }
-    report = {
+    return {
         "meta": {
             "quick": quick,
             "designs": designs,
             "edits": n_edits,
-            "verify": verify,
             "python": platform.python_version(),
             "min_speedup": MIN_SPEEDUP,
         },
         "designs": rows,
         "aggregate": aggregate,
     }
-    OUT_PATH.parent.mkdir(parents=True, exist_ok=True)
-    OUT_PATH.write_text(json.dumps(report, indent=2) + "\n")
-    spans = {}
-    for name, row in rows.items():
-        spans[f"{name}.cold"] = row["cold_median_s"]
-        spans[f"{name}.resolve"] = row["first_visit_median_s"]
-        spans[f"{name}.reuse"] = row["revisit_median_s"]
-    append_run(
-        "bench.eco",
-        spans,
-        config=dict(report["meta"]),
-        metrics={
-            "designs_at_floor": aggregate["designs_at_floor"],
-            "speedup_min": aggregate["speedup_min"],
-            "speedup_max": aggregate["speedup_max"],
-        },
-    )
-    return report
-
-
-# --------------------------------------------------------------------- #
-# pytest entry
-
-
-def test_eco_bench_quick(tmp_path, monkeypatch):
-    """Quick harness sanity: runs, emits JSON, every incremental solve
-    bit-identical to cold, revisit speedup >= 10x on every design."""
-    out = tmp_path / "BENCH_eco.json"
-    monkeypatch.setattr(sys.modules[__name__], "OUT_PATH", out)
-    monkeypatch.setenv("REPRO_LEDGER", str(tmp_path / "ledger.jsonl"))
-    report = run_bench(quick=True)
-    assert out.exists()
-    for name, row in report["designs"].items():
-        assert row["verified"], name
-        assert row["plans"].get("reuse", 0) >= row["edits"], name
-    assert report["aggregate"]["designs_at_floor"] == len(report["designs"])
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--designs", help="comma-separated design names")
-    parser.add_argument("--edits", type=int, help="edits per design")
-    parser.add_argument(
-        "--no-verify",
-        action="store_true",
-        help="skip the bit-identity differential checks",
-    )
     parser.add_argument(
         "--check",
         action="store_true",
         help="exit non-zero unless every design meets the speedup floor",
     )
     args = parser.parse_args(argv)
-    report = run_bench(
-        quick=args.quick,
-        designs=args.designs.split(",") if args.designs else None,
-        n_edits=args.edits,
-        verify=not args.no_verify,
-    )
+    report = run_bench(quick=args.quick)
     print(json.dumps(report, indent=2))
-    print(f"wrote {OUT_PATH}")
     agg = report["aggregate"]
     print(
         f"revisit speedup {agg['speedup_min']:.1f}x–{agg['speedup_max']:.1f}x "

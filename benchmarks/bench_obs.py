@@ -10,21 +10,16 @@ bare do-nothing stubs (the cheapest possible baseline the call sites
 permit).  If a future change makes the disabled path do real work, the
 ratio trips the gate.
 
-Runs under pytest (``pytest benchmarks/bench_obs.py``) or standalone::
+Run one or more gates (``--quick`` for the CI sizes)::
 
-    PYTHONPATH=src:. python benchmarks/bench_obs.py --check-overhead
-    PYTHONPATH=src:. python benchmarks/bench_obs.py --smoke \
-        --out-dir /tmp/obs_smoke
+    PYTHONPATH=src:. python benchmarks/bench_obs.py --check-overhead --quick
 
 ``--check-overhead`` exits non-zero when any kernel loop exceeds the
-threshold (default 3 %).  ``--smoke`` runs one traced Table-2 row,
-validates the Chrome-trace and JSONL schemas, and checks that span
-totals reproduce the flow's ``timings`` dict exactly — the CI
-``obs-smoke`` contract.  ``--check-bus`` gates the *distributed*
-telemetry plane: a traced saturation batch with the worker→supervisor
-telemetry bus attached must stay within 5 % of the same batch with the
-bus disabled (JSONL tracing on in both runs, so the delta isolates the
-bus itself).  ``--check-explain`` gates the explanation plane
+3 % budget.  ``--check-bus`` gates the *distributed* telemetry plane:
+a traced saturation batch with the worker→supervisor telemetry bus
+attached must stay within 5 % of the same batch with the bus disabled
+(JSONL tracing on in both runs, so the delta isolates the bus itself).
+``--check-explain`` gates the explanation plane
 (:mod:`repro.obs.explain`): certificate extraction must be strictly
 post-hoc, so an ``explain=True`` run minus its recorded ``explain``
 stage must match a plain ``explain=False`` run within 3 % — and the
@@ -35,16 +30,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
-
-try:
-    from benchmarks._ledger import append_run
-except ImportError:  # standalone: python benchmarks/bench_obs.py
-    from _ledger import append_run
 
 _perf_counter = time.perf_counter
 
@@ -192,11 +182,7 @@ def _workloads(quick: bool):
     }
 
 
-def check_overhead(
-    repeats: int = DEFAULT_REPEATS,
-    threshold: float = OVERHEAD_BUDGET_PCT,
-    quick: bool = False,
-) -> dict[str, dict[str, float]]:
+def check_overhead(quick: bool = False) -> dict[str, dict[str, float]]:
     """Measure disabled-obs overhead per kernel loop; raises on breach.
 
     The "real" side runs with the full obs *and* profiler machinery
@@ -210,6 +196,7 @@ def check_overhead(
     assert not any(
         t.name == "repro-obs-sampler" for t in threading.enumerate()
     ), "the sampling profiler must not be running during the overhead gate"
+    repeats, threshold = DEFAULT_REPEATS, OVERHEAD_BUDGET_PCT
     report: dict[str, dict[str, float]] = {}
     failures = []
     for name, fn in _workloads(quick).items():
@@ -235,18 +222,6 @@ def check_overhead(
         )
         if overhead > threshold:
             failures.append(f"{name}: {overhead:.2f}% > {threshold}%")
-    spans: dict[str, float] = {}
-    overheads: dict[str, float] = {}
-    for name, row in report.items():
-        spans[f"{name}.real"] = row["real_s"]
-        spans[f"{name}.stub"] = row["stub_s"]
-        overheads[f"{name}.overhead_pct"] = row["overhead_pct"]
-    append_run(
-        "bench.obs",
-        spans,
-        config={"repeats": repeats, "threshold": threshold, "quick": quick},
-        metrics=overheads,
-    )
     if failures:
         raise AssertionError(
             "disabled-tracing overhead budget exceeded: " + "; ".join(failures)
@@ -283,20 +258,16 @@ def _traced_batch_seconds(
         service.close()
 
 
-def check_bus(
-    out_dir: Path,
-    repeats: int = BUS_REPEATS,
-    threshold: float = BUS_BUDGET_PCT,
-    quick: bool = False,
-) -> dict[str, float]:
+def check_bus(out_dir: Path, quick: bool = False) -> dict[str, float]:
     """Gate: the live telemetry bus must not tax traced throughput.
 
     Both sides run the same cold target-period sweep with JSONL tracing
-    enabled; only the worker→supervisor bus differs.  Pairs run back to
-    back with alternating order (same rationale as
-    :func:`_paired_overhead`) and the gate judges the median per-pair
-    ratio.
+    enabled (traces under *out_dir*); only the worker→supervisor bus
+    differs.  Pairs run back to back with alternating order (same
+    rationale as :func:`_paired_overhead`) and the gate judges the
+    median per-pair ratio.
     """
+    import os
     import statistics
 
     try:
@@ -304,8 +275,7 @@ def check_bus(
     except ImportError:  # standalone: python benchmarks/bench_obs.py
         from bench_service import _sweep_jobs
 
-    import os
-
+    repeats, threshold = BUS_REPEATS, BUS_BUDGET_PCT
     designs = ["C1", "C3"] if quick else ["C1", "C3", "C5"]
     n_jobs = 8 if quick else 12
     workers = min(4, os.cpu_count() or 1)
@@ -358,19 +328,6 @@ def check_bus(
         f"telemetry bus    on {report['with_bus_s']:8.2f}s  "
         f"off {report['without_bus_s']:8.2f}s  overhead {overhead:+6.2f}%"
     )
-    append_run(
-        "bench.obs.bus",
-        {"with_bus": report["with_bus_s"], "without_bus": report["without_bus_s"]},
-        config={
-            "designs": designs,
-            "n_jobs": n_jobs,
-            "workers": workers,
-            "repeats": repeats,
-            "threshold": threshold,
-            "quick": quick,
-        },
-        metrics={"bus_overhead_pct": overhead},
-    )
     if overhead > threshold:
         raise AssertionError(
             f"telemetry bus overhead {overhead:.2f}% > {threshold}% "
@@ -383,11 +340,7 @@ def check_bus(
 # explanation-plane gate (--check-explain)
 
 
-def check_explain(
-    repeats: int = EXPLAIN_REPEATS,
-    threshold: float = EXPLAIN_BUDGET_PCT,
-    quick: bool = False,
-) -> dict[str, float]:
+def check_explain(quick: bool = False) -> dict[str, float]:
     """Gate: requesting an explanation must not tax the solve itself.
 
     Certificate extraction (:mod:`repro.obs.explain`) is specified as
@@ -406,6 +359,8 @@ def check_explain(
     from repro.mcretime import mc_retime
     from repro.synth import build_datapath
 
+    repeats = EXPLAIN_QUICK_REPEATS if quick else EXPLAIN_REPEATS
+    threshold = EXPLAIN_BUDGET_PCT
     design = "NTT4" if quick else "BFLY8"
     circuit = build_datapath(design).circuit
 
@@ -447,20 +402,6 @@ def check_explain(
         f"overhead {overhead:+6.2f}%  "
         f"({summary['certificates']} certificates valid)"
     )
-    append_run(
-        "bench.obs.explain",
-        {"plain": report["plain_s"], "explained_solve": report["explained_solve_s"]},
-        config={
-            "design": design,
-            "repeats": repeats,
-            "threshold": threshold,
-            "quick": quick,
-        },
-        metrics={
-            "explain_overhead_pct": overhead,
-            "certificates": report["certificates"],
-        },
-    )
     if overhead > threshold:
         raise AssertionError(
             f"explain-off overhead {overhead:.2f}% > {threshold}%: "
@@ -469,123 +410,27 @@ def check_explain(
     return report
 
 
-# --------------------------------------------------------------------- #
-# traced smoke run (the CI obs-smoke contract)
-
-
-def smoke(out_dir: Path, design: str = "C1", scale: float = 0.3) -> None:
-    """One traced Table-2 row; validates every export format."""
-    from repro import obs
-    from repro.flows import retime_flow
-    from repro.obs import report
-    from repro.synth import build_design
-    from repro.timing import XC4000E_DELAY
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace = out_dir / "obs_smoke_trace.json"
-    jsonl = out_dir / "obs_smoke_run.jsonl"
-    with obs.session(trace=trace, jsonl=jsonl) as tracer:
-        circuit = build_design(design, scale).circuit
-        flow = retime_flow(circuit, XC4000E_DELAY)
-
-    report.validate_chrome_trace(trace)
-    report.validate_jsonl(jsonl)
-    json.loads(trace.read_text())  # belt and braces: well-formed JSON
-
-    totals = report.span_totals(report.load_events(jsonl))
-    for stage, seconds in flow.timings.items():
-        if stage == "total":
-            continue
-        assert totals[f"flow.{stage}"] == seconds, (
-            f"span total for flow.{stage} != timings[{stage!r}] "
-            f"({totals.get('flow.' + stage)} vs {seconds})"
-        )
-
-    counters = tracer.counters
-    for required in ("feas.passes", "bf.rounds", "mcf.augmentations"):
-        assert counters.get(required, 0) > 0, f"counter {required} missing"
-
-    print(f"obs smoke OK: {design} traced, {len(tracer.events)} events")
-    print(f"  chrome trace : {trace}")
-    print(f"  jsonl log    : {jsonl}")
-    print(f"  counters     : " + ", ".join(sorted(counters)))
-
-
-# --------------------------------------------------------------------- #
-# pytest entry points (quick variants; benchmarks/ is not in testpaths,
-# run explicitly with `pytest benchmarks/bench_obs.py`)
-
-
-def test_overhead_gate_quick():
-    check_overhead(repeats=5, threshold=OVERHEAD_BUDGET_PCT, quick=True)
-
-
-def test_explain_gate_quick():
-    check_explain(repeats=EXPLAIN_QUICK_REPEATS, quick=True)
-
-
-def test_smoke(tmp_path):
-    smoke(tmp_path, design="C1", scale=0.3)
-
-
-# --------------------------------------------------------------------- #
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--check-overhead", action="store_true")
     parser.add_argument("--check-bus", action="store_true")
     parser.add_argument("--check-explain", action="store_true")
-    parser.add_argument("--smoke", action="store_true")
     parser.add_argument("--quick", action="store_true")
-    parser.add_argument("--repeats", type=int, default=DEFAULT_REPEATS)
-    parser.add_argument(
-        "--threshold", type=float, default=OVERHEAD_BUDGET_PCT,
-        help="overhead budget in percent (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--bus-repeats", type=int, default=BUS_REPEATS,
-        help="A/B pairs for --check-bus (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--bus-threshold", type=float, default=BUS_BUDGET_PCT,
-        help="bus overhead budget in percent (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--out-dir", type=Path, default=Path("benchmarks") / "obs_smoke",
-        help="where --smoke writes its trace artifacts",
-    )
-    parser.add_argument("--design", default="C1")
-    parser.add_argument("--scale", type=float, default=0.3)
     args = parser.parse_args(argv)
 
-    if not (
-        args.check_overhead
-        or args.check_bus
-        or args.check_explain
-        or args.smoke
-    ):
+    if not (args.check_overhead or args.check_bus or args.check_explain):
         parser.error(
             "pick at least one of --check-overhead / --check-bus / "
-            "--check-explain / --smoke"
+            "--check-explain"
         )
     try:
         if args.check_overhead:
-            check_overhead(args.repeats, args.threshold, args.quick)
+            check_overhead(args.quick)
         if args.check_explain:
-            check_explain(
-                repeats=EXPLAIN_QUICK_REPEATS if args.quick else EXPLAIN_REPEATS,
-                quick=args.quick,
-            )
+            check_explain(args.quick)
         if args.check_bus:
-            check_bus(
-                args.out_dir / "bus_gate",
-                repeats=args.bus_repeats,
-                threshold=args.bus_threshold,
-                quick=args.quick,
-            )
-        if args.smoke:
-            smoke(args.out_dir, args.design, args.scale)
+            with tempfile.TemporaryDirectory() as tmp:
+                check_bus(Path(tmp), args.quick)
     except AssertionError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1

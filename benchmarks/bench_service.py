@@ -1,7 +1,6 @@
 """Benchmark: batch service throughput, pool saturation, phases.
 
-Measures four things and writes them to ``BENCH_service.json``
-(override the path with ``REPRO_BENCH_SERVICE_OUT``):
+Measures three things and prints them as one JSON report:
 
 * **batch throughput** — an N-design batch cold at 1 worker, cold at
   the pool size, and warm (cache hits);
@@ -11,17 +10,12 @@ Measures four things and writes them to ``BENCH_service.json``
 * **saturation** — cold jobs/sec for a target-period sweep at 1
   worker vs ``--pool-workers`` workers.  The scaling gate (pool rate
   >= 3x the 1-worker rate) is enforced by ``--check`` when the host
-  actually has >= 4 cores — the CI ``service-saturation-smoke`` job
-  runs on one; a 1-core dev box records the honest curve without
-  failing;
-* **run-ledger records** — spans + metrics appended for the perf
-  sentinel (relative mode vs ``benchmarks/BASELINE_ledger.jsonl``).
+  actually has >= 4 cores; a smaller host records the honest curve
+  without failing.
 
-Runs under the pytest benchmark harness (``pytest benchmarks/``) or
-standalone::
+The CI gate runs::
 
-    PYTHONPATH=src python benchmarks/bench_service.py --quick
-    PYTHONPATH=src python benchmarks/bench_service.py \
+    PYTHONPATH=src:. python benchmarks/bench_service.py --quick \
         --pool-workers 4 --n-jobs 24 --check
 """
 
@@ -30,20 +24,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import tempfile
 import time
 from pathlib import Path
-
-try:
-    from benchmarks._ledger import append_run
-except ImportError:  # standalone: python benchmarks/bench_service.py
-    from _ledger import append_run
-
-OUT_PATH = Path(
-    os.environ.get(
-        "REPRO_BENCH_SERVICE_OUT",
-        Path(__file__).resolve().parent / "BENCH_service.json",
-    )
-)
 
 #: worker flow stages summed into the ``solve`` phase
 _STAGES = ("build", "bounds", "sharing", "minperiod", "minarea", "relocate")
@@ -174,7 +157,7 @@ def run_bench(
         ),
     }
 
-    report = {
+    return {
         "designs": designs,
         "scale": scale,
         "n_jobs": len(jobs),
@@ -188,33 +171,6 @@ def run_bench(
         "pool_speedup": cold_serial["seconds"] / max(cold_pool["seconds"], 1e-9),
         "warm_speedup": cold_serial["seconds"] / max(warm["seconds"], 1e-9),
     }
-    OUT_PATH.write_text(json.dumps(report, indent=2))
-    append_run(
-        "bench.service",
-        {
-            "cold_1_worker": cold_serial["seconds"],
-            "cold_pool": cold_pool["seconds"],
-            "warm_cache": warm["seconds"],
-            "saturation_1w": sweep_1w["seconds"],
-            "saturation_pool": sweep_pool["seconds"],
-        },
-        config={
-            "designs": designs,
-            "scale": scale,
-            "workers": pool_workers,
-            "n_jobs": len(sweep),
-            "cpus": cpu_count,
-        },
-        metrics={
-            "pool_speedup": report["pool_speedup"],
-            "warm_speedup": report["warm_speedup"],
-            "jobs_per_sec_pool": cold_pool["jobs_per_sec"],
-            "cache_hit_rate_warm": warm["cache_hit_rate"],
-            "saturation_speedup": saturation["speedup_vs_1_worker"],
-            "saturation_jobs_per_sec": sweep_pool["jobs_per_sec"],
-        },
-    )
-    return report
 
 
 def check_gates(report: dict) -> list[str]:
@@ -239,24 +195,6 @@ def check_gates(report: dict) -> list[str]:
     return failures
 
 
-def test_service_throughput(tmp_path):
-    """Pytest entry: small batch, asserts the cache actually pays off."""
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.3"))
-    designs = os.environ.get("REPRO_BENCH_DESIGNS", "C1,C3,C5,C8").split(",")
-    report = run_bench(designs, scale, tmp_path, n_jobs=2 * len(designs))
-    assert report["warm_cache"]["cache_hit_rate"] > 0.9
-    # the p95 satellite: warm reruns must report real cache-hit latency
-    assert report["warm_cache"]["p95_latency"] > 0.0
-    # a warm rerun must beat re-executing everything serially
-    assert report["warm_speedup"] > 1.0
-    # phase accounting is populated for cold runs
-    assert report["phases"]["solve_seconds"] > 0.0
-    assert report["phases"]["serialize_seconds"] > 0.0
-    if (os.cpu_count() or 1) >= 4:
-        assert report["saturation"]["speedup_vs_1_worker"] >= 3.0
-    print(json.dumps(report, indent=2))
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -269,15 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         help="saturation sweep size (default: 4 jobs per design)",
     )
     parser.add_argument(
-        "--designs",
-        default=os.environ.get("REPRO_BENCH_DESIGNS", "C1,C2,C3,C5"),
-    )
-    parser.add_argument(
-        "--scale",
-        type=float,
-        default=float(os.environ.get("REPRO_BENCH_SCALE", "0.4")),
-    )
-    parser.add_argument(
         "--quick", action="store_true",
         help="smaller designs and sweep (CI smoke size)",
     )
@@ -287,15 +216,11 @@ def main(argv: list[str] | None = None) -> int:
         "on >=4-core hosts)",
     )
     args = parser.parse_args(argv)
-    designs = args.designs.split(",")
-    scale = args.scale
-    n_jobs = args.n_jobs
     if args.quick:
-        designs = designs[:2]
-        scale = min(scale, 0.3)
-        n_jobs = n_jobs or 3 * len(designs)
-
-    import tempfile
+        designs, scale = ["C1", "C2"], 0.3
+        n_jobs = args.n_jobs or 3 * len(designs)
+    else:
+        designs, scale, n_jobs = ["C1", "C2", "C3", "C5"], 0.4, args.n_jobs
 
     with tempfile.TemporaryDirectory() as tmp:
         report = run_bench(
@@ -306,7 +231,6 @@ def main(argv: list[str] | None = None) -> int:
             n_jobs=n_jobs,
         )
     print(json.dumps(report, indent=2))
-    print(f"wrote {OUT_PATH}")
     if args.check:
         failures = check_gates(report)
         for failure in failures:

@@ -24,22 +24,23 @@ disabled path costs one global load per call site and is gated at <3 %
 overhead on the kernel loops by ``benchmarks/bench_obs.py``.
 
 Enable tracing with :func:`session` (what the CLI's ``--trace`` /
-``--log-json`` / ``-v`` flags use), the ``REPRO_TRACE*`` environment
-variables (:func:`configure_from_env`), or :func:`start`/:func:`stop`
-directly.  Worker processes use :func:`job_trace`, keyed by the job's
-canonical key so a trace id survives the process boundary.
+``--log-json`` / ``-v`` / ``--profile`` / ``--ledger`` flags and their
+environment variables use) or :func:`start`/:func:`stop` directly.
+Worker processes use :func:`job_trace`, keyed by the job's canonical
+key so a trace id survives the process boundary.
 
 Environment variables
 ---------------------
-``REPRO_TRACE``          write a Chrome trace_event JSON to this path.
-``REPRO_TRACE_LOG``      write a JSONL run log to this path.
-``REPRO_TRACE_SUMMARY``  print the text summary tree to stderr at exit.
+``REPRO_TRACE``          (CLI) write a Chrome trace_event JSON to this path.
+``REPRO_TRACE_LOG``      (CLI) write a JSONL run log to this path.
+``REPRO_TRACE_SUMMARY``  (CLI) print the text summary tree to stderr.
+``REPRO_PROFILE``        (CLI) run the sampling profiler; write flame data
+                         here.
+``REPRO_LEDGER``         (CLI) append one run-ledger record to this JSONL
+                         file.
 ``REPRO_TRACE_DIR``      (workers) write one JSONL per job under this dir.
 ``REPRO_TRACE_SPANS``    (workers) trace in-memory only, so span totals
                          and counters ride back in ``metrics["obs"]``.
-``REPRO_PROFILE``        run the sampling profiler; write flame data here.
-``REPRO_LEDGER``         append one run-ledger record to this JSONL file.
-``REPRO_LEDGER_KIND``    the ``kind`` tag of that record (default ``run``).
 
 See ``docs/OBSERVABILITY.md`` for the span/counter taxonomy, the
 run-ledger schema, and the ``mcretime obs`` sentinel commands.
@@ -138,7 +139,6 @@ __all__ = [
     "build_record",
     "check_records",
     "chrome_trace_errors",
-    "configure_from_env",
     "count",
     "cpu_split",
     "critical_path",
@@ -240,33 +240,6 @@ def session(
             )
         if summary:
             print(tracer.summary(), file=sys.stderr)
-
-
-@contextlib.contextmanager
-def configure_from_env(environ: dict[str, str] | None = None):
-    """A :func:`session` configured from the ``REPRO_TRACE*`` env vars.
-
-    Yields None without tracing when none of the variables are set, so
-    callers can wrap unconditionally.
-    """
-    env = os.environ if environ is None else environ
-    trace = env.get("REPRO_TRACE") or None
-    jsonl = env.get("REPRO_TRACE_LOG") or None
-    summary = bool(env.get("REPRO_TRACE_SUMMARY"))
-    profile = env.get("REPRO_PROFILE") or None
-    ledger = env.get("REPRO_LEDGER") or None
-    if not (trace or jsonl or summary or profile or ledger):
-        yield None
-        return
-    with session(
-        trace=trace,
-        jsonl=jsonl,
-        summary=summary,
-        profile=profile,
-        ledger=ledger,
-        ledger_kind=env.get("REPRO_LEDGER_KIND", "run"),
-    ) as tracer:
-        yield tracer
 
 
 @contextlib.contextmanager

@@ -1,8 +1,8 @@
 """The run ledger: one schema-validated JSONL record per traced run.
 
-Every BENCH harness, traced CLI run, and service job appends one
-record to a ledger file, so performance accumulates a *trajectory*
-instead of one-shot ``BENCH_*.json`` snapshots.  A record carries:
+A ledgered CLI run (``--ledger`` / ``REPRO_LEDGER``) or service job
+(``RetimeService(ledger=...)``) appends one record to a ledger file,
+so performance accumulates a *trajectory* of runs.  A record carries:
 
 * ``fingerprint`` — the canonical design fingerprint (the same
   canonicalise-and-hash the service job key uses: parse the netlist,

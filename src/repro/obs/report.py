@@ -10,8 +10,8 @@ by self-time, and the iteration counters.  This is what ``mcretime
 report`` and the CLI's ``-v`` summary print, so the paper's CPU-split
 table can be regenerated from any archived run.
 
-Also home to the schema validators the CI ``obs-smoke`` step and the
-tests use: :func:`validate_jsonl` and :func:`validate_chrome_trace`.
+Also home to the schema validators ``mcretime report --validate`` and
+the tests use: :func:`validate_jsonl` and :func:`validate_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -316,7 +316,7 @@ def render_summary(
 
 
 # ---------------------------------------------------------------------------
-# schema validation (CI obs-smoke + tests)
+# schema validation (``mcretime report --validate`` + tests)
 # ---------------------------------------------------------------------------
 
 _EVENT_TYPES = {"meta", "span", "counter", "gauge", "end"}

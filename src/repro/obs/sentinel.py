@@ -1,8 +1,7 @@
 """The perf-regression sentinel: compare run-ledger records and gate.
 
-``mcretime obs diff`` and ``mcretime obs check`` (and the CI
-``perf-sentinel`` job behind them) compare :mod:`repro.obs.ledger`
-records with **noise-robust** statistics:
+``mcretime obs diff`` and ``mcretime obs check`` compare
+:mod:`repro.obs.ledger` records with **noise-robust** statistics:
 
 * records are grouped by ``(kind, fingerprint)`` and, within a group,
   per-span medians are taken over the newest *k* records
@@ -13,8 +12,8 @@ records with **noise-robust** statistics:
   timer noise) never gate;
 * ``mode="relative"`` compares each span's *share of the group total*
   instead of absolute seconds.  Shares are stable across machine
-  speeds (a uniformly slower CI box scales every span alike), which is
-  what lets CI check against a committed baseline ledger recorded on a
+  speeds (a uniformly slower machine scales every span alike), which
+  is what lets a ledger be checked against a baseline recorded on a
   different machine.
 
 :func:`check` returns a :class:`SentinelReport`; the CLI exits
@@ -261,7 +260,7 @@ def check(
     """Gate *current_path* against *baseline_path* (both ledger files).
 
     ``inject_slowdown`` multiplies every current span time by the given
-    factor before comparing — the CI smoke-test hook proving the gate
+    factor before comparing — the self-test hook proving the gate
     actually fires on a 2× slowdown.
     """
     baseline = load_records(baseline_path)

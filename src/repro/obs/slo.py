@@ -14,13 +14,13 @@ The :class:`SLOEngine` ingests one sample per request outcome
 **burn rates** — observed value over target.  A burn rate of 1.0 means
 the service is consuming its error budget exactly as fast as the SLO
 allows; above 1.0 the objective is being violated right now.  The
-engine backs ``GET /slo`` on the live server and ``mcretime slo check``
-in CI, and :func:`evaluate` is the shared pass/fail policy: every
+engine backs ``GET /slo`` on the live server and ``mcretime slo
+check``, and :func:`evaluate` is the shared pass/fail policy: every
 objective's burn rate must stay <= 1.0.
 
 ``check_records`` is the offline mode: it replays ``service.job`` run
 ledger records (the same ledger the perf sentinel consumes) through an
-engine, so the SLO gate can run after the fact against CI artifacts.
+engine, so the SLO gate can run after the fact against a saved ledger.
 Like the sentinel, it supports ``--inject-latency`` — multiplying
 observed latencies to prove the gate actually fails when the service
 degrades.

@@ -11,8 +11,8 @@ for the small/medium graphs the ablation study uses, hopeless for the
 big designs, which is exactly the point the lazy path demonstrates.
 
 Both variants must agree with the lazy solvers on the optimum; the test
-suite enforces that, and ``benchmarks/bench_ablations.py`` compares
-their cost.
+suite enforces that, and ``tests/integration/test_ablations.py``
+compares their constraint counts.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ under ``cache_dir``) survives service restarts and is shared between
 the same directory.  Writes go through a temp-file rename so a killed
 process never leaves a torn entry behind; writers killed *between* the
 temp write and the rename leave a stale ``.tmp`` file, which
-construction and :meth:`clear` sweep.  Entries that fail to decode are
-quarantined (renamed to ``<key>.json.corrupt``) on the first miss so
-later lookups do not re-read the bad bytes.
+construction and :meth:`clear` sweep.  Entries that fail to decode to
+a job result are quarantined (renamed to ``<key>.json.corrupt``) on
+the first miss so later lookups do not re-read the bad bytes.
 """
 
 from __future__ import annotations
@@ -104,12 +104,12 @@ class ResultCache:
             data = json.loads(text)
             if not isinstance(data, dict):
                 raise ValueError("cache entry is not an object")
-        except (json.JSONDecodeError, ValueError):
+            result = JobResult.from_dict(data)
+        except (ValueError, TypeError):
             # decodable never again: quarantine so the next lookup goes
             # straight to a miss instead of re-parsing the same bad bytes
             self._quarantine(path)
             return None
-        result = JobResult.from_dict(data)
         self.memory.put(key, JobRecord(key, result=result))
         return result
 

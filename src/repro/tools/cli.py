@@ -130,13 +130,100 @@ def save_circuit(circuit: Circuit, path: Path) -> None:
         path.write_text(write_blif(circuit))
 
 
-def _no_tracing():
-    return contextlib.nullcontext()
+class _Fail(Exception):
+    """A one-line user error: :func:`main` prints it and exits 1."""
 
 
 def _fail(message: str) -> int:
     print(f"mcretime: error: {message}", file=sys.stderr)
     return 1
+
+
+def _load_checked(path: Path) -> Circuit:
+    """:func:`load_circuit` plus ``check_circuit``; a read or netlist
+    error becomes a :class:`_Fail` naming *path*."""
+    try:
+        circuit = load_circuit(path)
+        check_circuit(circuit)
+    except OSError as exc:
+        raise _Fail(f"cannot read {path}: {exc.strerror or exc}") from None
+    except NetlistError as exc:
+        raise _Fail(f"{path}: {exc}") from None
+    return circuit
+
+
+def _obs_parent() -> argparse.ArgumentParser:
+    """The observability flags of the retime and transform commands
+    (resolved against their environment variables by :func:`_observed`)."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--trace", type=Path, default=None, metavar="OUT.json",
+        help="write a Chrome trace_event JSON (open in Perfetto)",
+    )
+    parent.add_argument(
+        "--log-json", type=Path, default=None, metavar="RUN.jsonl",
+        help="write a structured JSONL run log (one event per line)",
+    )
+    parent.add_argument(
+        "-v", "--verbose", action="store_true",
+        help="print the trace summary tree to stderr after the run",
+    )
+    parent.add_argument(
+        "--profile", type=Path, default=None, metavar="OUT.json",
+        help="sample the run with the built-in profiler and write flame "
+        "data (speedscope JSON; .txt/.collapsed for collapsed stacks)",
+    )
+    parent.add_argument(
+        "--profile-interval", type=float, default=0.005, metavar="SECONDS",
+        help="sampling interval for --profile (default 5ms)",
+    )
+    parent.add_argument(
+        "--ledger", type=Path, default=None, metavar="RUNS.jsonl",
+        help="append one run-ledger record (fingerprint, config, span "
+        "self-times, counters, result metrics) to this JSONL file",
+    )
+    return parent
+
+
+@contextlib.contextmanager
+def _observed(args, circuit: Circuit, kind: str, meta: dict):
+    """Run the block under the :func:`obs.session` the flags ask for.
+
+    Each flag takes precedence over its environment variable
+    (``REPRO_TRACE``, ``REPRO_TRACE_LOG``, ``REPRO_TRACE_SUMMARY``,
+    ``REPRO_PROFILE``, ``REPRO_LEDGER``), so wrappers can trace without
+    threading flags through their scripts.  Once the block completes,
+    every file written is named on stderr.
+    """
+    env = os.environ
+    trace = args.trace or env.get("REPRO_TRACE") or None
+    log_json = args.log_json or env.get("REPRO_TRACE_LOG") or None
+    verbose = args.verbose or bool(env.get("REPRO_TRACE_SUMMARY"))
+    profile = args.profile or env.get("REPRO_PROFILE") or None
+    ledger = args.ledger or env.get("REPRO_LEDGER") or None
+    if not (trace or log_json or verbose or profile or ledger):
+        yield
+        return
+    with obs.session(
+        trace=trace,
+        jsonl=log_json,
+        summary=verbose,
+        meta=meta,
+        profile=profile,
+        profile_interval=args.profile_interval,
+        ledger=ledger,
+        ledger_kind=f"cli.{kind}",
+        fingerprint=obs.design_fingerprint(circuit) if ledger else None,
+    ):
+        yield
+    for note, path in (
+        ("wrote trace to", trace),
+        ("wrote run log to", log_json),
+        ("wrote profile to", profile),
+        ("appended run record to", ledger),
+    ):
+        if path:
+            print(f"{note} {path}", file=sys.stderr)
 
 
 def _stats_line(circuit: Circuit, delay_model) -> str:
@@ -157,27 +244,26 @@ def _stats_line(circuit: Circuit, delay_model) -> str:
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``mcretime`` console script."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "serve":
-        return _serve_main(argv[1:])
-    if argv and argv[0] == "batch":
-        return _batch_main(argv[1:])
-    if argv and argv[0] == "report":
-        return _report_main(argv[1:])
-    if argv and argv[0] == "obs":
-        return _obs_main(argv[1:])
-    if argv and argv[0] == "slo":
-        return _slo_main(argv[1:])
-    if argv and argv[0] == "top":
-        return _top_main(argv[1:])
-    if argv and argv[0] == "fuzz":
-        return _fuzz_main(argv[1:])
-    if argv and argv[0] == "eco":
-        return _eco_main(argv[1:])
-    if argv and argv[0] == "explain":
-        return _explain_main(argv[1:])
-    if argv and argv[0] in ("pipeline", "cslow"):
-        return _transform_main(argv[0], argv[1:])
-    return _retime_main(argv)
+    command = argv[0] if argv else None
+    subcommands = {
+        "serve": _serve_main,
+        "batch": _batch_main,
+        "report": _report_main,
+        "obs": _obs_main,
+        "slo": _slo_main,
+        "top": _top_main,
+        "fuzz": _fuzz_main,
+        "eco": _eco_main,
+        "explain": _explain_main,
+    }
+    try:
+        if command in ("pipeline", "cslow"):
+            return _transform_main(command, argv[1:])
+        if command in subcommands:
+            return subcommands[command](argv[1:])
+        return _retime_main(argv)
+    except _Fail as exc:
+        return _fail(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +275,7 @@ def _retime_main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="mcretime", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        parents=[_obs_parent()],
     )
     parser.add_argument("input", type=Path, help="input netlist (.blif/.v)")
     parser.add_argument("-o", "--output", type=Path, help="output netlist")
@@ -228,41 +315,9 @@ def _retime_main(argv: list[str]) -> int:
         "--verify-cycles", type=int, default=64, metavar="N",
         help="cycles per verification lane (default 64)",
     )
-    parser.add_argument(
-        "--trace", type=Path, default=None, metavar="OUT.json",
-        help="write a Chrome trace_event JSON (open in Perfetto)",
-    )
-    parser.add_argument(
-        "--log-json", type=Path, default=None, metavar="RUN.jsonl",
-        help="write a structured JSONL run log (one event per line)",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print the trace summary tree to stderr after the run",
-    )
-    parser.add_argument(
-        "--profile", type=Path, default=None, metavar="OUT.json",
-        help="sample the run with the built-in profiler and write flame "
-        "data (speedscope JSON; .txt/.collapsed for collapsed stacks)",
-    )
-    parser.add_argument(
-        "--profile-interval", type=float, default=0.005, metavar="SECONDS",
-        help="sampling interval for --profile (default 5ms)",
-    )
-    parser.add_argument(
-        "--ledger", type=Path, default=None, metavar="RUNS.jsonl",
-        help="append one run-ledger record (fingerprint, config, span "
-        "self-times, counters, result metrics) to this JSONL file",
-    )
     args = parser.parse_args(argv)
 
-    try:
-        circuit = load_circuit(args.input)
-        check_circuit(circuit)
-    except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc.strerror or exc}")
-    except NetlistError as exc:
-        return _fail(f"{args.input}: {exc}")
+    circuit = _load_checked(args.input)
     model_name = args.delay_model or ("xc4000e" if args.map else "unit")
     model = XC4000E_DELAY if model_name == "xc4000e" else UNIT_DELAY
 
@@ -270,35 +325,16 @@ def _retime_main(argv: list[str]) -> int:
     if args.check:
         return 0
 
-    # CLI flags take precedence; the REPRO_TRACE* env vars fill gaps so
-    # wrappers can trace without threading flags through their scripts
-    trace = args.trace or os.environ.get("REPRO_TRACE") or None
-    log_json = args.log_json or os.environ.get("REPRO_TRACE_LOG") or None
-    verbose = args.verbose or bool(os.environ.get("REPRO_TRACE_SUMMARY"))
-    profile = args.profile or os.environ.get("REPRO_PROFILE") or None
-    ledger = args.ledger or os.environ.get("REPRO_LEDGER") or None
-    observing = trace or log_json or verbose or profile or ledger
-
     accepted = True
     verify_check = None
     try:
-        with obs.session(
-            trace=trace,
-            jsonl=log_json,
-            summary=verbose,
-            meta={
-                "input": str(args.input),
-                "objective": args.objective,
-                "flow": "retime" if args.map else "mcretime",
-                "delay_model": model_name,
-                "target_period": args.target_period,
-            },
-            profile=profile,
-            profile_interval=args.profile_interval,
-            ledger=ledger,
-            ledger_kind="cli.retime",
-            fingerprint=obs.design_fingerprint(circuit) if ledger else None,
-        ) if observing else _no_tracing():
+        with _observed(args, circuit, "retime", {
+            "input": str(args.input),
+            "objective": args.objective,
+            "flow": "retime" if args.map else "mcretime",
+            "delay_model": model_name,
+            "target_period": args.target_period,
+        }):
             if args.map:
                 # the paper's Table-2 script: optimise + map, retime on
                 # the mapped netlist, remap, and keep the better netlist
@@ -361,14 +397,6 @@ def _retime_main(argv: list[str]) -> int:
         return _fail(detail + " (run `mcretime explain --why-infeasible`)")
     except VerificationError as exc:
         return _fail(str(exc))
-    if trace:
-        print(f"wrote trace to {trace}", file=sys.stderr)
-    if log_json:
-        print(f"wrote run log to {log_json}", file=sys.stderr)
-    if profile:
-        print(f"wrote profile to {profile}", file=sys.stderr)
-    if ledger:
-        print(f"appended run record to {ledger}", file=sys.stderr)
     print(f"retimed: {_stats_line(retimed, model)}")
     if verify_check is not None:
         print(
@@ -478,14 +506,7 @@ def _eco_main(argv: list[str]) -> int:
 
     from ..eco import EcoState, eco_retime
 
-    try:
-        base = load_circuit(args.base)
-        check_circuit(base)
-    except OSError as exc:
-        return _fail(f"cannot read {args.base}: {exc.strerror or exc}")
-    except NetlistError as exc:
-        return _fail(f"{args.base}: {exc}")
-
+    base = _load_checked(args.base)
     if args.edits is not None:
         try:
             script = json.loads(args.edits.read_text())
@@ -497,13 +518,7 @@ def _eco_main(argv: list[str]) -> int:
             return _fail(f"{args.edits}: expected a JSON list of edit ops")
         edit = script
     else:
-        try:
-            edit = load_circuit(args.input)
-            check_circuit(edit)
-        except OSError as exc:
-            return _fail(f"cannot read {args.input}: {exc.strerror or exc}")
-        except NetlistError as exc:
-            return _fail(f"{args.input}: {exc}")
+        edit = _load_checked(args.input)
 
     model = XC4000E_DELAY if args.delay_model == "xc4000e" else UNIT_DELAY
     state = EcoState(
@@ -633,13 +648,7 @@ def _explain_main(argv: list[str]) -> int:
 
     from ..obs import explain as obs_explain
 
-    try:
-        circuit = load_circuit(args.input)
-        check_circuit(circuit)
-    except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc.strerror or exc}")
-    except NetlistError as exc:
-        return _fail(f"{args.input}: {exc}")
+    circuit = _load_checked(args.input)
     model_name = args.delay_model or ("xc4000e" if args.map else "unit")
     model = XC4000E_DELAY if model_name == "xc4000e" else UNIT_DELAY
 
@@ -724,6 +733,7 @@ def _transform_main(kind: str, argv: list[str]) -> int:
     is_pipe = kind == "pipeline"
     parser = argparse.ArgumentParser(
         prog=f"mcretime {kind}",
+        parents=[_obs_parent()],
         description=(
             "Insert K output register layers and retime to balance them "
             "(latency for clock speed)."
@@ -788,74 +798,27 @@ def _transform_main(kind: str, argv: list[str]) -> int:
         help="cycles (pipeline) / superperiods (cslow) to compare "
         f"(default {48 if is_pipe else 32})",
     )
-    parser.add_argument(
-        "--trace", type=Path, default=None, metavar="OUT.json",
-        help="write a Chrome trace_event JSON (open in Perfetto)",
-    )
-    parser.add_argument(
-        "--log-json", type=Path, default=None, metavar="RUN.jsonl",
-        help="write a structured JSONL run log (one event per line)",
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="store_true",
-        help="print the trace summary tree to stderr after the run",
-    )
-    parser.add_argument(
-        "--profile", type=Path, default=None, metavar="OUT.json",
-        help="sample the run with the built-in profiler (speedscope JSON)",
-    )
-    parser.add_argument(
-        "--profile-interval", type=float, default=0.005, metavar="SECONDS",
-        help="sampling interval for --profile (default 5ms)",
-    )
-    parser.add_argument(
-        "--ledger", type=Path, default=None, metavar="RUNS.jsonl",
-        help="append one run-ledger record to this JSONL file",
-    )
     args = parser.parse_args(argv)
     amount = args.stages if is_pipe else args.factor
 
-    try:
-        circuit = load_circuit(args.input)
-        check_circuit(circuit)
-    except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc.strerror or exc}")
-    except NetlistError as exc:
-        return _fail(f"{args.input}: {exc}")
+    circuit = _load_checked(args.input)
     model_name = args.delay_model or ("xc4000e" if args.map else "unit")
     model = XC4000E_DELAY if model_name == "xc4000e" else UNIT_DELAY
 
     print(f"{args.input}: {_stats_line(circuit, model)}")
     print(f"  classes: {format_class_histogram(class_histogram(circuit))}")
 
-    trace = args.trace or os.environ.get("REPRO_TRACE") or None
-    log_json = args.log_json or os.environ.get("REPRO_TRACE_LOG") or None
-    verbose = args.verbose or bool(os.environ.get("REPRO_TRACE_SUMMARY"))
-    profile = args.profile or os.environ.get("REPRO_PROFILE") or None
-    ledger = args.ledger or os.environ.get("REPRO_LEDGER") or None
-    observing = trace or log_json or verbose or profile or ledger
-
     verify_check = None
     try:
-        with obs.session(
-            trace=trace,
-            jsonl=log_json,
-            summary=verbose,
-            meta={
-                "input": str(args.input),
-                "transform": kind,
-                ("stages" if is_pipe else "factor"): amount,
-                "objective": args.objective,
-                "flow": "retime" if args.map else "mcretime",
-                "delay_model": model_name,
-                "target_period": args.target_period,
-            },
-            profile=profile,
-            profile_interval=args.profile_interval,
-            ledger=ledger,
-            ledger_kind=f"cli.{kind}",
-            fingerprint=obs.design_fingerprint(circuit) if ledger else None,
-        ) if observing else _no_tracing():
+        with _observed(args, circuit, kind, {
+            "input": str(args.input),
+            "transform": kind,
+            ("stages" if is_pipe else "factor"): amount,
+            "objective": args.objective,
+            "flow": "retime" if args.map else "mcretime",
+            "delay_model": model_name,
+            "target_period": args.target_period,
+        }):
             if args.map:
                 flow_fn = pipeline_flow if is_pipe else cslow_flow
                 flow = flow_fn(
@@ -917,14 +880,6 @@ def _transform_main(kind: str, argv: list[str]) -> int:
         return _fail(detail)
     except VerificationError as exc:
         return _fail(str(exc))
-    if trace:
-        print(f"wrote trace to {trace}", file=sys.stderr)
-    if log_json:
-        print(f"wrote run log to {log_json}", file=sys.stderr)
-    if profile:
-        print(f"wrote profile to {profile}", file=sys.stderr)
-    if ledger:
-        print(f"appended run record to {ledger}", file=sys.stderr)
 
     if is_pipe:
         print(
@@ -1340,7 +1295,7 @@ def _obs_main(argv: list[str]) -> int:
             "Compare run-ledger files (see docs/OBSERVABILITY.md): "
             "`diff` prints per-span deltas between two ledgers; `check` "
             "gates a ledger against a baseline and exits non-zero on a "
-            "perf regression (the CI perf-sentinel contract)."
+            "perf regression."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -1390,7 +1345,7 @@ def _obs_main(argv: list[str]) -> int:
     p_check.add_argument(
         "--inject-slowdown", type=float, default=None, metavar="FACTOR",
         help="multiply every current span time by FACTOR before comparing "
-        "(CI smoke hook: proves the gate fires on a synthetic slowdown)",
+        "(self-test hook: proves the gate fires on a synthetic slowdown)",
     )
     _common(p_check)
 
@@ -1482,7 +1437,7 @@ def _slo_main(argv: list[str]) -> int:
     p_check.add_argument(
         "--inject-latency", type=float, default=None, metavar="FACTOR",
         help="multiply the observed p95 by FACTOR before judging "
-        "(CI smoke hook: proves the gate fires on a degraded service)",
+        "(self-test hook: proves the gate fires on a degraded service)",
     )
     args = parser.parse_args(argv)
 

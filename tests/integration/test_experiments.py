@@ -25,6 +25,7 @@ class TestTable1:
     def test_rows_in_order(self, t1):
         rows, _ = t1
         assert [r.name for r in rows] == NAMES
+        assert all(r.n_ff > 0 and r.n_lut > 0 for r in rows)
 
     def test_flags_match_specs(self, t1):
         rows, _ = t1

@@ -1,12 +1,23 @@
 """Tests for the mcretime CLI and the DOT exporters."""
 
+import json
+
 import pytest
 
+from repro.eco import apply_edit_script
 from repro.graph import build_mcgraph
-from repro.netlist import read_blif, read_verilog, write_blif, check_circuit
-from repro.synth import build_design
+from repro.mcretime import mc_retime
+from repro.netlist import (
+    GateFn,
+    check_circuit,
+    read_blif,
+    read_verilog,
+    write_blif,
+)
+from repro.synth import build_datapath, build_design
+from repro.timing import XC4000E_DELAY
 from repro.tools import circuit_to_dot, graph_to_dot
-from repro.tools.cli import main
+from repro.tools.cli import load_circuit, main
 
 
 @pytest.fixture()
@@ -58,6 +69,67 @@ class TestCli:
 
     def test_syntactic_classes(self, blif_file):
         assert main([str(blif_file), "--syntactic-classes"]) == 0
+
+
+@pytest.fixture(scope="module")
+def eco_inputs(tmp_path_factory):
+    """NTT4 and a one-op edit script that retypes one carry cell to a
+    mux."""
+    circuit = build_datapath("NTT4").circuit
+    tmp = tmp_path_factory.mktemp("eco")
+    base = tmp / "ntt4.blif"
+    base.write_text(write_blif(circuit))
+    carry = next(
+        g.name for g in circuit.gates.values() if g.fn is GateFn.CARRY
+    )
+    edits = tmp / "edit.json"
+    edits.write_text(
+        json.dumps([{"op": "retype_gate", "name": carry, "fn": "mux"}])
+    )
+    return base, edits
+
+
+class TestEcoCommand:
+    def test_edit_script_matches_cold_retime(
+        self, eco_inputs, tmp_path, capsys
+    ):
+        base, edits = eco_inputs
+        out_path = tmp_path / "eco.blif"
+        rc = main(
+            [
+                "eco",
+                "--base",
+                str(base),
+                "--edits",
+                str(edits),
+                "--delay-model",
+                "xc4000e",
+                "--report",
+                "-o",
+                str(out_path),
+            ]
+        )
+        assert rc == 0
+        assert "plan=resolve" in capsys.readouterr().out
+        edited = apply_edit_script(
+            load_circuit(base), json.loads(edits.read_text())
+        )
+        cold = mc_retime(edited, delay_model=XC4000E_DELAY)
+        assert out_path.read_text() == write_blif(cold.circuit)
+
+    def test_needs_exactly_one_edit_source(self, eco_inputs, capsys):
+        base, edits = eco_inputs
+        assert main(["eco", "--base", str(base)]) == 1
+        both = ["eco", str(base), "--base", str(base), "--edits", str(edits)]
+        assert main(both) == 1
+        assert "exactly one of" in capsys.readouterr().err
+
+    def test_script_must_be_a_json_list(self, eco_inputs, tmp_path, capsys):
+        base, edits = eco_inputs
+        script = tmp_path / "op.json"
+        script.write_text(json.dumps(json.loads(edits.read_text())[0]))
+        assert main(["eco", "--base", str(base), "--edits", str(script)]) == 1
+        assert "expected a JSON list" in capsys.readouterr().err
 
 
 class TestDot:

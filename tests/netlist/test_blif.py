@@ -147,6 +147,7 @@ class TestRoundTrip:
             nets.append(r.q)
         c.add_output(nets[-1])
         text = write_blif(c)
+        assert text.startswith(".model")
         c2 = read_blif(text)
         check_circuit(c2)
         assert write_blif(c2) == text  # fixed point after one trip

@@ -247,6 +247,7 @@ def test_cli_why_infeasible_exit_codes(tmp_path, capsys):
     payload = json.loads(out_file.read_text())
     assert payload["kind"] == "infeasible"
     assert payload["valid"] is True
+    assert payload["certificate"]["sum"] < 0
     capsys.readouterr()
 
     # infeasible without --why-infeasible is an error...

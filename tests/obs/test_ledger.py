@@ -1,7 +1,6 @@
 """The run ledger: schema, round-trip, tolerance, rotation."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -190,26 +189,27 @@ class TestCommittedBaseline:
     """Records written while the env block still carried ``kernels``
     stay valid, and records without it compare against them."""
 
-    BASELINE = (
-        Path(__file__).resolve().parents[2]
-        / "benchmarks"
-        / "BASELINE_ledger.jsonl"
-    )
-
     def test_old_records_validate_and_compare(self, tmp_path):
-        baseline = ledger_mod.RunLedger(self.BASELINE).load(strict=True)
-        assert baseline
-        assert all(r["env"].get("kernels") is True for r in baseline)
-        for record in baseline:
-            ledger_mod.validate_record(record)
+        baseline = tmp_path / "baseline.jsonl"
         fresh = tmp_path / "fresh.jsonl"
-        with fresh.open("w") as fh:
-            for record in baseline:
-                current = dict(record, env=ledger_mod.environment())
+        with baseline.open("w") as old, fresh.open("w") as new:
+            for i in range(3):
+                current = obs.build_record(
+                    kind="bench.obs",
+                    run_id=f"run{i}",
+                    config={"quick": True},
+                    spans={"delta_sweep.real": 0.03, "min_period.real": 0.07},
+                    ts=1.0 + i,
+                )
                 assert "kernels" not in current["env"]
-                fh.write(json.dumps(ledger_mod.validate_record(current)) + "\n")
+                record = dict(current, env=dict(current["env"], kernels=True))
+                ledger_mod.validate_record(record)
+                old.write(json.dumps(record) + "\n")
+                new.write(json.dumps(current) + "\n")
+        loaded = ledger_mod.RunLedger(baseline).load(strict=True)
+        assert all(r["env"]["kernels"] is True for r in loaded)
         report = sentinel.check(
-            self.BASELINE, fresh, mode="relative", threshold=2.0
+            baseline, fresh, mode="relative", threshold=2.0
         )
         assert report.deltas
         assert not report.unmatched

@@ -11,10 +11,11 @@ import json
 from pathlib import Path
 
 from repro import obs
+from repro.flows import retime_flow
 from repro.mcretime import mc_retime
 from repro.netlist import read_blif, write_blif
 from repro.obs import report
-from repro.timing import UNIT_DELAY
+from repro.timing import UNIT_DELAY, XC4000E_DELAY
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -46,6 +47,16 @@ class TestTimingsFromSpans:
             if phase == "total":
                 continue
             assert totals[f"engine.{phase}"] == seconds, phase
+        # one level up: the Table-2 flow's stages
+        path = tmp_path / "flow.jsonl"
+        with obs.session(jsonl=path):
+            flow = retime_flow(load("c2_small"), XC4000E_DELAY)
+        totals = report.span_totals(obs.load_events(path))
+        assert set(flow.timings) > {"total"}
+        for stage, seconds in flow.timings.items():
+            if stage == "total":
+                continue
+            assert totals[f"flow.{stage}"] == seconds, stage
 
 
 class TestAlgorithmCounters:

@@ -169,16 +169,3 @@ class TestSession:
         assert outer is not None
         assert not (tmp_path / "inner.jsonl").exists()
         assert "work" in outer.span_totals()
-
-    def test_configure_from_env(self, tmp_path):
-        env = {"REPRO_TRACE_LOG": str(tmp_path / "env.jsonl")}
-        with obs.configure_from_env(env) as tracer:
-            assert tracer is not None
-            with obs.span("work"):
-                pass
-        report.validate_jsonl(tmp_path / "env.jsonl")
-
-    def test_configure_from_env_disabled(self):
-        with obs.configure_from_env({}) as tracer:
-            assert tracer is None
-            assert not obs.enabled()

@@ -75,12 +75,13 @@ class TestRelocationDeadlockRecovery:
 
 class TestCSlowRetime:
     def test_throughput_gain_on_datapath(self):
-        c = build_datapath("MAC6").circuit
-        result = cslow_retime(c, 3)
-        check_circuit(result.circuit)
-        assert result.throughput_gain >= 2.0
-        assert result.thread_period == 3 * result.period_after
-        assert result.registers_replicated == 2 * result.ff_before
+        for name in ("MAC6", "NTT4", "MODMUL6"):
+            c = build_datapath(name).circuit
+            result = cslow_retime(c, 3)
+            check_circuit(result.circuit)
+            assert result.throughput_gain >= 2.0, name
+            assert result.thread_period == 3 * result.period_after, name
+            assert result.registers_replicated == 2 * result.ff_before, name
 
     def test_fold_counts_surface(self):
         c = build_datapath("NTT4").circuit

@@ -4,6 +4,8 @@ import json
 import os
 import threading
 
+import pytest
+
 from repro.service import JobFailure, JobRecord, JobResult, ResultCache
 
 
@@ -97,6 +99,21 @@ class TestDiskTier:
         (tmp_path / "odd.json").write_text("[1, 2, 3]")
         assert cache.get("odd") is None
         assert cache.corrupt == 1
+        assert (tmp_path / "odd.json.corrupt").exists()
+
+    @pytest.mark.parametrize(
+        "entry",
+        [{"foo": 1}, {"job_id": "j", "ok": True, "error": "boom"}],
+        ids=["unknown-field", "error-not-an-object"],
+    )
+    def test_non_result_object_quarantined(self, tmp_path, entry):
+        """A JSON object that does not decode to a job result is a
+        corrupt entry like any other, not an exception."""
+        cache = ResultCache(tmp_path)
+        (tmp_path / "odd.json").write_text(json.dumps(entry))
+        assert cache.get("odd") is None
+        assert cache.corrupt == 1
+        assert not (tmp_path / "odd.json").exists()
         assert (tmp_path / "odd.json.corrupt").exists()
 
     def test_missing_entry_is_not_corrupt(self, tmp_path):

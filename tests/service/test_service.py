@@ -4,13 +4,14 @@ These run real worker processes.  Timeouts and backoffs are tuned small
 so the failure-path tests finish in a couple of seconds.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.mcretime import mc_retime
 from repro.netlist import read_blif, write_blif
-from repro.service import RetimeJob, RetimeService
+from repro.service import JobResult, RetimeJob, RetimeService
 from repro.timing import UNIT_DELAY
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -134,6 +135,16 @@ class TestCaching:
             )
         finally:
             svc2.close()
+
+    def test_non_result_disk_entry_does_not_block_its_job(self, tmp_path):
+        job = RetimeJob.from_file(DATA / "c2_small.blif")
+        entry = tmp_path / f"{job.canonical_key}.json"
+        entry.write_text(json.dumps({"foo": 1}))
+        with RetimeService(workers=1, cache_dir=tmp_path) as svc:
+            result = svc.wait(svc.submit(job), timeout=120)
+            assert result.ok and not result.cached
+            assert svc.cache.corrupt == 1
+        assert JobResult.from_dict(json.loads(entry.read_text())).ok
 
     def test_warm_rerun_hit_rate_above_90_percent(self, tmp_path):
         """The acceptance criterion: warm rerun >90% cache hits."""

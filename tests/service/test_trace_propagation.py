@@ -22,6 +22,7 @@ from repro.service import (
     ServiceOverloadedError,
 )
 from repro.service.metrics import MetricsRegistry
+from repro.tools.cli import main as cli_main
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -229,3 +230,60 @@ class TestLiveSLO:
         ok, messages = obs.evaluate(status, inject_latency=1e6)
         assert not ok
         assert any("FAIL latency_p95_seconds" in m for m in messages)
+
+
+class TestServedRunCommands:
+    """``mcretime report`` and ``mcretime slo check`` over the trace
+    directory and run ledger of a one-worker traced service."""
+
+    @pytest.fixture(scope="class")
+    def served(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("served")
+        svc = RetimeService(
+            workers=1,
+            job_timeout=120.0,
+            trace_dir=out / "traces",
+            ledger=out / "ledger.jsonl",
+        )
+        try:
+            ids = [svc.submit(_job(name)) for name in ("c2_small", "c3_small")]
+            assert all(svc.wait(i, timeout=120.0).ok for i in ids)
+        finally:
+            svc.close()
+        (out / "slo.json").write_text(
+            json.dumps(
+                {
+                    "window_seconds": 300,
+                    "latency_p95_seconds": 30.0,
+                    "error_rate": 0.05,
+                    "shed_rate": 0.2,
+                }
+            )
+        )
+        return out
+
+    def test_stitch_critical_path_and_validate(self, served, capsys):
+        traces = str(served / "traces")
+        merged = served / "stitched.json"
+        stitch = ["report", traces, "--stitch", "--out", str(merged)]
+        assert cli_main(stitch) == 0
+        out = capsys.readouterr().out
+        assert "stitched 2 request(s)" in out
+        assert f"wrote merged Chrome trace: {merged}" in out
+        assert cli_main(["report", traces, "--critical-path"]) == 0
+        out = capsys.readouterr().out
+        assert "critical path over 2 request(s)" in out
+        assert "SUM" in out
+        assert cli_main(["report", str(merged), "--validate"]) == 0
+        assert capsys.readouterr().out == f"{merged}: OK\n"
+
+    def test_slo_check_gates_the_ledger(self, served, capsys):
+        check = [
+            "slo", "check",
+            "--ledger", str(served / "ledger.jsonl"),
+            "--config", str(served / "slo.json"),
+        ]
+        assert cli_main(check) == 0
+        assert "all objectives within budget" in capsys.readouterr().out
+        assert cli_main([*check, "--inject-latency", "1000"]) == 1
+        assert "SLO check FAILED" in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.flows import baseline_flow, retime_flow
@@ -12,6 +14,7 @@ from repro.verify import SequentialCheckResult, VerificationError
 from repro.verify.fuzz import random_spec
 
 DESIGN = generate(random_spec(4)).circuit
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def test_retime_flow_verify_stage():
@@ -108,6 +111,13 @@ def test_cli_verify_flag(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "verified: 24 cycles" in out
+
+
+def test_cli_map_verify_on_table2_row(capsys):
+    rc = cli.main([str(DATA / "c3_small.blif"), "--map", "--verify"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "refinement holds" in out
 
 
 def test_cli_verify_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
