@@ -3,10 +3,16 @@
 Hierarchical spans, monotonic counters, and gauges over the whole
 stack (engine phases, FEAS passes, Bellman–Ford rounds, binary-search
 probes, min-cost-flow augmentations, STA dirty regions, service cache
-hits), exported through pluggable sinks:
+hits), recorded as one *span record* per run — the event list in
+``Tracer.events``.  Every view of a run is derived from that record
+by one codec (:mod:`repro.obs.report`):
 
+* structured JSONL run logs (one event per line, streamed by
+  :class:`JsonlSink`, closed by an ``end`` record of the run's
+  aggregate maps),
 * Chrome ``trace_event`` JSON (open in Perfetto / ``chrome://tracing``),
-* structured JSONL run logs (one event per line, streamed),
+  encoded from the record when the run ends,
+* ``Tracer.snapshot()`` and the run-ledger record (the same maps),
 * a human-readable text summary tree (``mcretime report``).
 
 Instrumented code uses the module-level helpers::
@@ -60,7 +66,7 @@ from .ledger import (
     design_fingerprint,
     environment,
     record_errors,
-    record_from_tracer,
+    record_from_snapshot,
     validate_record,
 )
 from .bus import BusSink, TelemetryBus, job_sink, set_worker_queue
@@ -73,15 +79,17 @@ from .explain import (
 )
 from .profile import Profile, SamplingProfiler, profile_block
 from .report import (
+    aggregate,
     chrome_trace_errors,
     cpu_split,
     jsonl_errors,
     load_events,
     render_summary,
+    trace_errors,
     validate_chrome_trace,
     validate_jsonl,
 )
-from .sinks import ChromeTraceSink, JsonlSink, MemorySink
+from .sinks import JsonlSink
 from .slo import (
     SLOConfig,
     SLOEngine,
@@ -110,9 +118,11 @@ from .tracer import (
     count,
     current,
     enabled,
+    end_event,
     finalize_total,
     gauge,
     span,
+    span_event,
     start,
     stop,
     timed,
@@ -121,9 +131,7 @@ from .tracer import (
 __all__ = [
     "NULL_SPAN",
     "BusSink",
-    "ChromeTraceSink",
     "JsonlSink",
-    "MemorySink",
     "Profile",
     "RunLedger",
     "SLOConfig",
@@ -134,6 +142,7 @@ __all__ = [
     "Stopwatch",
     "TelemetryBus",
     "Tracer",
+    "aggregate",
     "annotate",
     "build_explanation",
     "build_record",
@@ -145,6 +154,7 @@ __all__ = [
     "current",
     "design_fingerprint",
     "enabled",
+    "end_event",
     "environment",
     "evaluate",
     "explain_summary",
@@ -158,7 +168,7 @@ __all__ = [
     "percentile",
     "profile_block",
     "record_errors",
-    "record_from_tracer",
+    "record_from_snapshot",
     "reevaluate",
     "render_critical_path",
     "render_explanation",
@@ -168,11 +178,13 @@ __all__ = [
     "session",
     "set_worker_queue",
     "span",
+    "span_event",
     "start",
     "stitch_dir",
     "stitch_events",
     "stop",
     "timed",
+    "trace_errors",
     "validate_chrome_trace",
     "validate_explanation",
     "validate_jsonl",
@@ -195,30 +207,28 @@ def session(
     ledger_kind: str = "run",
     fingerprint: str | None = None,
 ):
-    """Trace a block of work, wiring up the requested sinks.
+    """Trace a block of work, wiring up the requested outputs.
 
     Yields the installed :class:`Tracer` (or None when an outer tracer
     is already active — nested sessions join the enclosing trace rather
-    than shadowing it).  On exit the tracer is finalised, sinks are
-    closed, and the summary tree is printed to stderr if requested.
+    than shadowing it).  ``jsonl=`` streams the record to a JSONL log
+    as it happens.  On exit the tracer is finalised, ``trace=`` writes
+    the Chrome trace of its record, and the summary tree is printed to
+    stderr if requested.
 
     ``profile=`` additionally runs the sampling profiler over the block
     and writes the flame data to the given path on exit (speedscope
     JSON, or collapsed stacks for ``.txt``/``.collapsed``).  ``ledger=``
     appends one schema-validated run record to the given JSONL ledger
-    (fingerprint/config/span self-times/counters/result metrics — see
-    :mod:`repro.obs.ledger`); attach result metrics from inside the
+    (fingerprint/config/the record's aggregate maps/result metrics —
+    see :mod:`repro.obs.ledger`); attach result metrics from inside the
     block with :func:`annotate`.
     """
     if current() is not None:
         yield None
         return
-    sinks: list[Any] = []
-    if trace:
-        sinks.append(ChromeTraceSink(trace))
-    if jsonl:
-        sinks.append(JsonlSink(jsonl))
-    tracer = start(trace_id=trace_id, sinks=tuple(sinks), meta=meta)
+    sinks = (JsonlSink(jsonl),) if jsonl else ()
+    tracer = start(trace_id=trace_id, sinks=sinks, meta=meta)
     profiler = (
         SamplingProfiler(interval=profile_interval).start() if profile else None
     )
@@ -228,10 +238,12 @@ def session(
         if profiler is not None:
             profiler.stop().write(profile)
         stop()
+        if trace:
+            write_chrome({tracer.trace_id: tracer.events}, trace)
         if ledger:
             RunLedger(ledger).append(
-                record_from_tracer(
-                    tracer,
+                record_from_snapshot(
+                    tracer.snapshot(),
                     ledger_kind,
                     fingerprint=fingerprint,
                     config=dict(tracer.meta),

@@ -9,20 +9,19 @@ so performance accumulates a *trajectory* of runs.  A record carries:
   re-emit canonical BLIF, SHA-256), so runs of the same design
   correlate across whitespace/format variants;
 * ``config`` — the execution options that shaped the run;
-* ``spans`` / ``self_times`` / ``span_counts`` — per-span wall-clock
-  totals, self-times, and invocation counts (from
-  :meth:`Tracer.span_totals` / :meth:`Tracer.span_self_totals` /
-  :meth:`Tracer.span_counts`);
-* ``counters`` — the algorithm counters (FEAS passes, BF rounds, …);
+* ``spans`` / ``self_times`` / ``span_counts`` / ``counters`` — the
+  run's :func:`~repro.obs.report.aggregate` maps, as in
+  ``Tracer.snapshot()`` (:func:`record_from_snapshot`);
 * ``metrics`` — result numbers (period, register count, LUT area, …);
+* ``status`` — service records only: ``done``, ``failed`` or ``shed``;
 * ``env`` — python version, platform, git sha.
 
 The file format is append-only JSONL: crash-safe (valid up to the last
 complete line) and diff-able.  :class:`RunLedger` is the loader with
 **corrupted-line tolerance** (a torn tail line or hand-edited garbage
-is skipped and counted, not fatal) and a rotation API so long-running
-services bound their ledger size.  ``mcretime obs diff/check``
-(:mod:`repro.obs.sentinel`) consume these records.
+is skipped and counted, not fatal).  ``mcretime obs diff/check``
+(:mod:`repro.obs.sentinel`) and ``mcretime slo check --ledger``
+(:mod:`repro.obs.slo`) consume these records.
 """
 
 from __future__ import annotations
@@ -35,10 +34,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, TYPE_CHECKING
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .tracer import Tracer
+from typing import Any
 
 __all__ = [
     "RunLedger",
@@ -47,7 +43,7 @@ __all__ = [
     "design_fingerprint",
     "environment",
     "record_errors",
-    "record_from_tracer",
+    "record_from_snapshot",
     "validate_record",
 ]
 
@@ -62,7 +58,8 @@ _REQUIRED: dict[str, type | tuple[type, ...]] = {
     "kind": str,
 }
 
-#: optional dict-valued fields whose values must be numbers
+#: optional dict-valued fields whose values must be numbers: the
+#: span record's aggregate maps a record keeps
 _NUMERIC_MAPS = ("spans", "self_times", "span_counts", "counters")
 
 _git_sha_cache: str | None = None
@@ -128,6 +125,7 @@ def build_record(
     span_counts: dict[str, int] | None = None,
     counters: dict[str, float] | None = None,
     metrics: dict[str, Any] | None = None,
+    status: str | None = None,
     ts: float | None = None,
 ) -> dict[str, Any]:
     """Assemble (and validate) one ledger record."""
@@ -145,29 +143,36 @@ def build_record(
         "metrics": dict(metrics or {}),
         "env": environment(),
     }
+    if status is not None:
+        record["status"] = status
     validate_record(record)
     return record
 
 
-def record_from_tracer(
-    tracer: "Tracer",
+def record_from_snapshot(
+    snapshot: dict[str, Any],
     kind: str,
     *,
+    run_id: str | None = None,
     fingerprint: str | None = None,
     config: dict[str, Any] | None = None,
     metrics: dict[str, Any] | None = None,
+    status: str | None = None,
 ) -> dict[str, Any]:
-    """A ledger record for one finished traced run."""
+    """A ledger record over one run's aggregate.
+
+    *snapshot* is ``Tracer.snapshot()`` (a service job ships it back as
+    ``metrics["obs"]``; an untraced or crashed job has none, so ``{}``),
+    and *run_id* defaults to its trace id.
+    """
     return build_record(
         kind=kind,
-        run_id=tracer.trace_id,
+        run_id=snapshot.get("trace_id", "") if run_id is None else run_id,
         fingerprint=fingerprint,
         config=config,
-        spans=tracer.span_totals(),
-        self_times=tracer.span_self_totals(),
-        span_counts=tracer.span_counts(),
-        counters=dict(tracer.counters),
         metrics=metrics,
+        status=status,
+        **{field: snapshot.get(field) for field in _NUMERIC_MAPS},
     )
 
 
@@ -188,9 +193,10 @@ def record_errors(record: Any) -> list[str]:
         errors.append(
             f"unknown schema {record['schema']!r} (expected {SCHEMA!r})"
         )
-    fp = record.get("fingerprint")
-    if fp is not None and not isinstance(fp, str):
-        errors.append("field 'fingerprint' must be a string or null")
+    for field in ("fingerprint", "status"):
+        value = record.get(field)
+        if value is not None and not isinstance(value, str):
+            errors.append(f"field {field!r} must be a string or null")
     for field in ("config", "metrics", "env"):
         if field in record and not isinstance(record[field], dict):
             errors.append(f"field {field!r} must be an object")
@@ -226,72 +232,40 @@ def validate_record(record: Any) -> dict[str, Any]:
 
 
 class RunLedger:
-    """Append/load/rotate a JSONL run ledger.
+    """Append to and load a JSONL run ledger."""
 
-    ``max_records`` (optional) auto-rotates on append once the file
-    grows past it, keeping the newest ``max_records`` lines in place
-    and moving the overflow to ``<path>.1`` (one generation).
-    """
-
-    def __init__(
-        self, path: str | Path, max_records: int | None = None
-    ) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        if max_records is not None and max_records < 1:
-            raise ValueError("max_records must be >= 1")
-        self.max_records = max_records
         #: malformed lines skipped by the last :meth:`load`
         self.skipped = 0
 
     def append(self, record: dict[str, Any]) -> dict[str, Any]:
-        """Validate and append one record (auto-rotating if configured)."""
+        """Validate and append one record."""
         validate_record(record)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-        if self.max_records is not None:
-            if self._count_lines() > self.max_records:
-                self.rotate(keep=self.max_records)
         return record
 
-    def _count_lines(self) -> int:
-        try:
-            with self.path.open() as fh:
-                return sum(1 for line in fh if line.strip())
-        except OSError:
-            return 0
-
-    def load(self, strict: bool = False) -> list[dict[str, Any]]:
+    def load(self) -> list[dict[str, Any]]:
         """Every valid record in the ledger, oldest first.
 
         Malformed lines (torn tail writes, hand-edited garbage) are
-        skipped and counted in :attr:`skipped` unless ``strict=True``,
-        in which case the first one raises ``ValueError``.
+        skipped and counted in :attr:`skipped`.
         """
         self.skipped = 0
         records: list[dict[str, Any]] = []
         if not self.path.exists():
             return records
-        for lineno, line in enumerate(
-            self.path.read_text().splitlines(), 1
-        ):
+        for line in self.path.read_text().splitlines():
             if not line.strip():
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if strict:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: invalid JSON: {exc}"
-                    ) from exc
+            except json.JSONDecodeError:
                 self.skipped += 1
                 continue
-            errors = record_errors(record)
-            if errors:
-                if strict:
-                    raise ValueError(
-                        f"{self.path}:{lineno}: " + "; ".join(errors)
-                    )
+            if record_errors(record):
                 self.skipped += 1
                 continue
             records.append(record)
@@ -301,30 +275,3 @@ class RunLedger:
         """The newest *n* valid records, oldest first."""
         records = self.load()
         return records[-n:] if n > 0 else []
-
-    def rotate(self, keep: int) -> int:
-        """Keep the newest *keep* records; move the rest to ``<path>.1``.
-
-        Returns how many records were rotated out.  The overflow
-        generation is overwritten (one generation of history), matching
-        classic ``logrotate``-style single-backup behaviour.
-        """
-        if keep < 0:
-            raise ValueError("keep must be >= 0")
-        if not self.path.exists():
-            return 0
-        lines = [
-            line
-            for line in self.path.read_text().splitlines()
-            if line.strip()
-        ]
-        if len(lines) <= keep:
-            return 0
-        overflow = lines[: len(lines) - keep]
-        kept = lines[len(lines) - keep:]
-        backup = self.path.with_name(self.path.name + ".1")
-        backup.write_text("\n".join(overflow) + "\n")
-        self.path.write_text(
-            ("\n".join(kept) + "\n") if kept else ""
-        )
-        return len(overflow)

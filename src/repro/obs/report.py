@@ -1,17 +1,32 @@
-"""Render and validate saved traces: the text summary tree.
+"""The span record's codec, and the text summary tree.
 
-Consumes either a live tracer's event list, a JSONL run log, or a
-Chrome ``trace_event`` JSON file, and renders the human-readable
-summary: the span tree with per-node call counts / total / self time
-and percentage of the run, the Sec. 6 CPU-split line (derived from the
+A run's *span record* is the list of event dicts its tracer collects
+in ``Tracer.events``: one ``meta`` record, then ``span``, ``counter``
+and ``gauge`` events, then an ``end`` record.  Every view of a run —
+the JSONL log, the Chrome trace, ``Tracer.snapshot()``, the run-ledger
+record, the stitched service timeline, the summary tree — derives from
+that list through this module:
+
+* :func:`load_events` — the one reader, for JSONL run logs and Chrome
+  ``trace_event`` files;
+* :func:`chrome_doc` — the one Chrome encoder;
+* :func:`aggregate` — the per-name maps (``spans``, ``self_times``,
+  ``span_counts``, ``counters``, ``gauges``) that every ``end``
+  record, the Chrome file's ``otherData``, ``Tracer.snapshot()`` and
+  the run ledger carry;
+* :func:`self_times` — each span's self time, from its parent links.
+
+:func:`render_summary` is what ``mcretime report`` and the CLI's ``-v``
+print: the span tree with per-node call counts / total / self time and
+percentage of the run, the Sec. 6 CPU-split line (derived from the
 ``engine.*`` phase spans exactly like
 :meth:`repro.mcretime.MCRetimeResult.timing_fractions`), the top spans
-by self-time, and the iteration counters.  This is what ``mcretime
-report`` and the CLI's ``-v`` summary print, so the paper's CPU-split
+by self-time, and the iteration counters — so the paper's CPU-split
 table can be regenerated from any archived run.
 
 Also home to the schema validators ``mcretime report --validate`` and
-the tests use: :func:`validate_jsonl` and :func:`validate_chrome_trace`.
+the tests use: :func:`trace_errors`, :func:`validate_jsonl` and
+:func:`validate_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -21,40 +36,57 @@ from pathlib import Path
 from typing import Any
 
 __all__ = [
+    "AGGREGATES",
+    "aggregate",
+    "chrome_doc",
     "chrome_trace_errors",
     "cpu_split",
     "jsonl_errors",
     "load_events",
     "render_summary",
-    "span_totals",
+    "self_times",
+    "trace_errors",
     "validate_chrome_trace",
     "validate_jsonl",
 ]
 
+#: the maps :func:`aggregate` returns, in the order records carry them
+AGGREGATES = ("spans", "self_times", "span_counts", "counters", "gauges")
+
 
 # ---------------------------------------------------------------------------
-# loading
+# reading
 # ---------------------------------------------------------------------------
+
+
+def _is_chrome(text: str) -> bool:
+    """Whether a trace file's text is a Chrome document (else JSONL)."""
+    head = text.lstrip()[:200]
+    return head.startswith("{") and '"traceEvents"' in head
 
 
 def load_events(path: str | Path) -> list[dict[str, Any]]:
-    """Load trace events from a JSONL run log or a Chrome trace JSON.
+    """Load a span record from a JSONL run log or a Chrome trace JSON.
 
-    JSONL files load as-is (one event per line).  Chrome traces are
-    mapped back to the internal event model (``X`` events become span
-    events with second-denominated ``ts``/``dur``; the ``otherData``
-    aggregates become an ``end`` event) so one renderer serves both.
+    JSONL files load line by line; a line that does not decode (a
+    blank line, or the partial tail of a file a live query races a
+    worker to) is skipped — :func:`jsonl_errors` reports every such
+    line.  Chrome traces are mapped back to the event model (``X``
+    events become span events with second-denominated ``ts``/``dur``
+    and parent links rebuilt from containment; ``otherData`` becomes
+    the ``end`` record) so one renderer serves both.
     """
-    path = Path(path)
-    text = path.read_text()
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"traceEvents"' in stripped[:200]:
+    text = Path(path).read_text()
+    if _is_chrome(text):
         return _events_from_chrome(json.loads(text))
     events = []
     for line in text.splitlines():
-        line = line.strip()
-        if line:
-            events.append(json.loads(line))
+        try:
+            event = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(event, dict):
+            events.append(event)
     return events
 
 
@@ -99,8 +131,7 @@ def _events_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
         {
             "type": "end",
             "trace_id": other.get("trace_id", ""),
-            "counters": other.get("counters", {}),
-            "gauges": other.get("gauges", {}),
+            **{key: other[key] for key in AGGREGATES if key in other},
         }
     )
     return events
@@ -111,26 +142,118 @@ def _events_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def span_totals(events: list[dict[str, Any]]) -> dict[str, float]:
-    """Per-name span duration totals, summed in event (file) order."""
-    totals: dict[str, float] = {}
-    for event in events:
-        if event.get("type") == "span":
-            name = event["name"]
-            totals[name] = totals.get(name, 0.0) + event["dur"]
-    return totals
+def self_times(events: list[dict[str, Any]]) -> list[float]:
+    """Each span event's self time, in the order the spans appear.
+
+    A span's self time is its duration less its children's, found by
+    the children's ``parent`` links (span ids are unique within one
+    run), clamped at zero.  Children are summed in event order, which
+    for a tracer's own record is the order they closed.
+    """
+    spans = [e for e in events if e.get("type") == "span"]
+    child: dict[int, float] = {}
+    for e in spans:
+        parent = e.get("parent", 0)
+        if parent:
+            child[parent] = child.get(parent, 0.0) + e["dur"]
+    return [max(0.0, e["dur"] - child.get(e["id"], 0.0)) for e in spans]
 
 
-def counters(events: list[dict[str, Any]]) -> dict[str, float]:
-    """Final counter values (prefers the ``end`` record when present)."""
-    out: dict[str, float] = {}
+def _runs(events: list[dict[str, Any]]) -> list[list[dict[str, Any]]]:
+    """Split back-to-back runs: meta records after other events open one."""
+    runs: list[list[dict[str, Any]]] = []
     for event in events:
-        kind = event.get("type")
-        if kind == "counter":
-            out[event["name"]] = event["value"]
-        elif kind == "end" and event.get("counters"):
-            out.update(event["counters"])
-    return out
+        opens = event.get("type") == "meta" and (
+            not runs or runs[-1][-1].get("type") != "meta"
+        )
+        if opens or not runs:
+            runs.append([])
+        runs[-1].append(event)
+    return runs
+
+
+def _merge_gauge(
+    gauges: dict[str, dict[str, Any]], name: str, stat: dict[str, Any]
+) -> None:
+    """Fold one ``count``/``sum``/``min``/``max``/``last`` stat in."""
+    have = gauges.get(name)
+    if have is None:
+        gauges[name] = dict(stat)
+        return
+    have["count"] += stat["count"]
+    have["sum"] += stat["sum"]
+    have["min"] = min(have["min"], stat["min"])
+    have["max"] = max(have["max"], stat["max"])
+    have["last"] = stat["last"]
+
+
+def aggregate(events: list[dict[str, Any]]) -> dict[str, dict[str, Any]]:
+    """The per-name maps of a span record (see :data:`AGGREGATES`).
+
+    * ``spans`` — total duration per span name, summed in event order
+      exactly like the engine's ``timings[phase] += duration`` loop, so
+      totals equal the ``timings`` dicts bit for bit;
+    * ``self_times`` — total self time per span name (:func:`self_times`);
+    * ``span_counts`` — completed spans per name;
+    * ``counters`` — each process's final counter values, summed over
+      processes;
+    * ``gauges`` — ``count``/``sum``/``min``/``max``/``last`` per gauge,
+      over all processes.
+
+    A process's final values are its counter and gauge events', or its
+    ``end`` record's once it has one (its last event).  An ``end``
+    record that names no pid summarises its whole run (a stitched
+    timeline's, or a Chrome file's ``otherData``, which keeps no counter
+    or gauge events) and stands for that run's counters and gauges.  A list may hold several
+    runs back to back (a stitched export of many requests); each opens
+    with its meta records, and its span ids and processes are its own.
+    """
+    spans: dict[str, float] = {}
+    selfs: dict[str, float] = {}
+    counts: dict[str, int] = {}
+    counters: dict[str, Any] = {}
+    gauges: dict[str, dict[str, Any]] = {}
+    for run in _runs(events):
+        own = iter(self_times(run))
+        procs: dict[Any, dict[str, Any]] = {}
+        summary = None
+        for event in run:
+            kind = event.get("type")
+            if kind == "span":
+                name = event["name"]
+                spans[name] = spans.get(name, 0.0) + event["dur"]
+                selfs[name] = selfs.get(name, 0.0) + next(own)
+                counts[name] = counts.get(name, 0) + 1
+            elif kind == "end" and "pid" not in event:
+                summary = event
+            elif kind == "end":
+                procs[event["pid"]] = event
+            elif kind in ("counter", "gauge"):
+                proc = procs.setdefault(
+                    event.get("pid"), {"counters": {}, "gauges": {}}
+                )
+                value = event["value"]
+                if kind == "counter":
+                    proc["counters"][event["name"]] = value
+                else:
+                    _merge_gauge(proc["gauges"], event["name"], {
+                        "count": 1, "sum": 0.0 + value,
+                        "min": value, "max": value, "last": value,
+                    })
+        for proc in procs.values() if summary is None else [summary]:
+            for name, value in (proc.get("counters") or {}).items():
+                counters[name] = (
+                    counters[name] + value if name in counters else value
+                )
+            for name, stat in (proc.get("gauges") or {}).items():
+                _merge_gauge(gauges, name, stat)
+    return {
+        "spans": spans,
+        "self_times": selfs,
+        "span_counts": counts,
+        "counters": counters,
+        "gauges": gauges,
+    }
 
 
 def cpu_split(totals: dict[str, float]) -> dict[str, float] | None:
@@ -161,6 +284,84 @@ def cpu_split(totals: dict[str, float]) -> dict[str, float] | None:
     }
 
 
+# ---------------------------------------------------------------------------
+# the Chrome encoder
+# ---------------------------------------------------------------------------
+
+
+def chrome_doc(events: list[dict[str, Any]]) -> dict[str, Any]:
+    """The Chrome ``trace_event`` document of a span record.
+
+    Spans become complete (``"ph": "X"``) events with microsecond
+    timestamps (span args plus ``counter:NAME`` attributions), counters
+    become ``"ph": "C"`` counter tracks, and each pid gets a process
+    track named by its latest meta record (``role (pid)``).
+    ``otherData`` carries the trace id (empty when the meta records
+    name several) and the :func:`aggregate` maps, which
+    :func:`load_events` restores as the ``end`` record.
+    """
+    names: dict[Any, str] = {}
+    trace_events: list[dict[str, Any]] = []
+    trace_ids: set[str] = set()
+    for event in events:
+        kind = event.get("type")
+        pid = event.get("pid", 0)
+        if kind == "meta":
+            trace_ids.add(str(event.get("trace_id", "")))
+            if "pid" in event:
+                names[pid] = f"{event.get('role', 'mcretime')} ({pid})"
+        elif kind == "span":
+            args = dict(event.get("args", {}))
+            for name, value in event.get("counters", {}).items():
+                args[f"counter:{name}"] = value
+            out = {
+                "name": event["name"],
+                "cat": event["name"].split(".", 1)[0],
+                "ph": "X",
+                "ts": event["ts"] * 1e6,
+                "dur": event["dur"] * 1e6,
+                "pid": pid,
+                "tid": event.get("tid", 0),
+            }
+            if args:
+                out["args"] = args
+            trace_events.append(out)
+        elif kind == "counter":
+            trace_events.append(
+                {
+                    "name": event["name"],
+                    "ph": "C",
+                    "ts": event["ts"] * 1e6,
+                    "pid": pid,
+                    "tid": 0,
+                    "args": {"value": event["value"]},
+                }
+            )
+    metadata = [
+        {
+            "name": "process_name",
+            "ph": "M",
+            "pid": pid,
+            "tid": 0,
+            "args": {"name": name},
+        }
+        for pid, name in sorted(names.items())
+    ]
+    return {
+        "traceEvents": metadata + trace_events,
+        "displayTimeUnit": "ms",
+        "otherData": {
+            "trace_id": trace_ids.pop() if len(trace_ids) == 1 else "",
+            **aggregate(events),
+        },
+    }
+
+
+# ---------------------------------------------------------------------------
+# rendering
+# ---------------------------------------------------------------------------
+
+
 class _Node:
     __slots__ = ("name", "count", "total", "self_time", "children")
 
@@ -176,11 +377,6 @@ def _build_tree(events: list[dict[str, Any]]) -> _Node:
     """Aggregate span events into a name-path tree."""
     spans = [e for e in events if e.get("type") == "span"]
     by_id = {e["id"]: e for e in spans}
-    child_time: dict[int, float] = {}
-    for e in spans:
-        parent = e.get("parent", 0)
-        if parent:
-            child_time[parent] = child_time.get(parent, 0.0) + e["dur"]
 
     def path(e: dict[str, Any]) -> tuple[str, ...]:
         names: list[str] = []
@@ -191,19 +387,14 @@ def _build_tree(events: list[dict[str, Any]]) -> _Node:
         return tuple(reversed(names))
 
     root = _Node("")
-    for e in spans:
+    for e, own in zip(spans, self_times(spans)):
         node = root
         for name in path(e):
             node = node.children.setdefault(name, _Node(name))
         node.count += 1
         node.total += e["dur"]
-        node.self_time += e.get("self", e["dur"] - child_time.get(e["id"], 0.0))
+        node.self_time += own
     return root
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
 
 
 def _fmt_seconds(s: float) -> str:
@@ -218,19 +409,19 @@ def render_summary(
     """The text summary tree for a list of trace events."""
     meta = next((e for e in events if e.get("type") == "meta"), {})
     end = next((e for e in events if e.get("type") == "end"), {})
-    totals = span_totals(events)
+    agg = aggregate(events)
     root = _build_tree(events)
     run_total = sum(n.total for n in root.children.values()) or 1.0
 
     lines: list[str] = []
     trace_id = end.get("trace_id") or meta.get("trace_id") or "?"
-    n_spans = sum(1 for e in events if e.get("type") == "span")
+    n_spans = sum(agg["span_counts"].values())
     lines.append(
         f"trace {str(trace_id)[:16]} — {n_spans} spans, "
         f"{run_total:.3f}s total"
     )
 
-    split = cpu_split(totals)
+    split = cpu_split(agg["spans"])
     if split is not None:
         lines.append(
             "cpu split        : "
@@ -258,41 +449,24 @@ def render_summary(
 
     walk(root, 0)
 
-    # top spans by aggregate self-time (flattened over the tree)
-    flat: dict[str, float] = {}
-
-    def collect(node: _Node) -> None:
-        for child in node.children.values():
-            flat[child.name] = flat.get(child.name, 0.0) + child.self_time
-            collect(child)
-
-    collect(root)
-    if flat and top > 0:
-        # aggregate count/total alongside self-time for the table
-        agg: dict[str, tuple[int, float]] = {}
-
-        def tally(node: _Node) -> None:
-            for child in node.children.values():
-                count, total = agg.get(child.name, (0, 0.0))
-                agg[child.name] = (count + child.count, total + child.total)
-                tally(child)
-
-        tally(root)
+    if agg["self_times"] and top > 0:
         lines.append("")
         lines.append(f"top {top} spans by self-time:")
         lines.append(
             f"  {'span':<30} {'count':>6} {'total':>9} "
             f"{'self':>9} {'self %':>7}"
         )
-        ranked = sorted(flat.items(), key=lambda kv: kv[1], reverse=True)
+        ranked = sorted(
+            agg["self_times"].items(), key=lambda kv: kv[1], reverse=True
+        )
         for name, self_time in ranked[:top]:
-            count, total = agg.get(name, (0, 0.0))
             lines.append(
-                f"  {name:<30} {count:>6d} {_fmt_seconds(total)} "
+                f"  {name:<30} {agg['span_counts'][name]:>6d} "
+                f"{_fmt_seconds(agg['spans'][name])} "
                 f"{_fmt_seconds(self_time)} {100.0 * self_time / run_total:6.1f}%"
             )
 
-    counts = counters(events)
+    counts = agg["counters"]
     if counts:
         lines.append("")
         lines.append("counters:")
@@ -301,7 +475,7 @@ def render_summary(
             rendered = f"{value:g}" if value != int(value) else f"{int(value)}"
             lines.append(f"  {name:<30} {rendered}")
 
-    gauges = end.get("gauges") or {}
+    gauges = agg["gauges"]
     if gauges:
         lines.append("")
         lines.append("gauges (count / min / max / last):")
@@ -386,6 +560,17 @@ def validate_jsonl(path: str | Path) -> list[dict[str, Any]]:
     if errors:
         raise ValueError(errors[0])
     return load_events(path)
+
+
+def trace_errors(path: str | Path) -> list[str]:
+    """Every schema violation in a trace file, JSONL or Chrome.
+
+    Picks the format the way :func:`load_events` does, so a file is
+    validated as what it will be read as.
+    """
+    if _is_chrome(Path(path).read_text()):
+        return chrome_trace_errors(path)
+    return jsonl_errors(path)
 
 
 def chrome_trace_errors(path: str | Path) -> list[str]:

@@ -3,6 +3,9 @@
 ``mcretime obs diff`` and ``mcretime obs check`` compare
 :mod:`repro.obs.ledger` records with **noise-robust** statistics:
 
+* only finished runs compare: a service record whose ``status`` is
+  ``failed`` or ``shed`` carries no timings, so it is dropped before
+  it can shrink a median-of-k window;
 * records are grouped by ``(kind, fingerprint)`` and, within a group,
   per-span medians are taken over the newest *k* records
   (median-of-k), so one noisy run cannot flip the verdict;
@@ -198,8 +201,8 @@ def diff(
     """Compare two record sets span by span; see the module docstring."""
     if mode not in ("absolute", "relative"):
         raise ValueError(f"unknown mode {mode!r}")
-    baseline = list(baseline)
-    current = list(current)
+    baseline = [r for r in baseline if r.get("status", "done") == "done"]
+    current = [r for r in current if r.get("status", "done") == "done"]
     base = group_medians(baseline, window)
     cur = group_medians(current, window)
     base_counts = group_medians(baseline, window, values=_span_counts)

@@ -1,23 +1,17 @@
-"""Trace sinks: Chrome ``trace_event`` JSON and structured JSONL.
+"""The streaming sink: a run's span record as a JSONL file.
 
 Sinks receive every event as it is recorded (``event``) and get one
-``close(tracer)`` call when the tracer shuts down.  Two file formats
-ship:
+``close(tracer)`` call when the tracer shuts down.  :class:`JsonlSink`
+writes one JSON object per line as events happen (crash-safe: the file
+is valid up to the last complete line); the first line is the ``meta``
+record, the last the ``end`` record with the run's aggregate maps.
 
-* :class:`JsonlSink` — one JSON object per line, streamed as events
-  happen (crash-safe; the file is valid up to the last complete line).
-  Line framing: the first line is the ``meta`` record, the last a
-  cumulative ``end`` record with counter/gauge/span aggregates.
-* :class:`ChromeTraceSink` — the Chrome ``trace_event`` format
-  (``{"traceEvents": [...]}``) loadable in Perfetto or
-  ``chrome://tracing``: spans become complete (``"ph": "X"``) events
-  with microsecond timestamps, counters become ``"ph": "C"`` counter
-  tracks.  Buffered and written at close (the format is one JSON
-  document).
-
-:class:`MemorySink` retains raw events for tests and in-process
-consumers.  Anything implementing ``event``/``close`` can be added to
-``Tracer.sinks`` — the tracer never looks inside its sinks.
+Everything else is derived from the tracer's own record,
+``Tracer.events``, once the run is over: ``obs.session(trace=...)``
+writes the Chrome trace with :func:`repro.obs.report.chrome_doc`.  The
+telemetry bus's :class:`~repro.obs.bus.BusSink` forwards the same
+event dicts live.  Anything implementing ``event``/``close`` can be
+added to ``Tracer.sinks`` — the tracer never looks inside its sinks.
 """
 
 from __future__ import annotations
@@ -26,21 +20,7 @@ import json
 from pathlib import Path
 from typing import Any, TextIO
 
-__all__ = ["ChromeTraceSink", "JsonlSink", "MemorySink"]
-
-
-class MemorySink:
-    """Retain every event in a list (testing / in-process analysis)."""
-
-    def __init__(self) -> None:
-        self.events: list[dict[str, Any]] = []
-        self.closed = False
-
-    def event(self, event: dict[str, Any]) -> None:
-        self.events.append(event)
-
-    def close(self, tracer) -> None:
-        self.closed = True
+__all__ = ["JsonlSink"]
 
 
 class JsonlSink:
@@ -64,69 +44,3 @@ class JsonlSink:
             self._fh.flush()
             self._fh.close()
             self._fh = None
-
-
-class ChromeTraceSink:
-    """Buffer events and write a Chrome ``trace_event`` JSON document."""
-
-    def __init__(self, path: str | Path, process_name: str = "mcretime") -> None:
-        self.path = Path(path)
-        self.process_name = process_name
-        self._events: list[dict[str, Any]] = []
-        self._pid: int | None = None
-
-    def event(self, event: dict[str, Any]) -> None:
-        kind = event.get("type")
-        pid = event.get("pid", 0)
-        if self._pid is None:
-            self._pid = pid
-        if kind == "span":
-            out = {
-                "name": event["name"],
-                "cat": event["name"].split(".", 1)[0],
-                "ph": "X",
-                "ts": event["ts"] * 1e6,
-                "dur": event["dur"] * 1e6,
-                "pid": pid,
-                "tid": event.get("tid", 0),
-            }
-            args = dict(event.get("args", {}))
-            for name, value in event.get("counters", {}).items():
-                args[f"counter:{name}"] = value
-            if args:
-                out["args"] = args
-            self._events.append(out)
-        elif kind == "counter":
-            self._events.append(
-                {
-                    "name": event["name"],
-                    "ph": "C",
-                    "ts": event["ts"] * 1e6,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"value": event["value"]},
-                }
-            )
-
-    def close(self, tracer) -> None:
-        pid = self._pid if self._pid is not None else 0
-        metadata = [
-            {
-                "name": "process_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": 0,
-                "args": {"name": self.process_name},
-            }
-        ]
-        doc = {
-            "traceEvents": metadata + self._events,
-            "displayTimeUnit": "ms",
-            "otherData": {
-                "trace_id": tracer.trace_id,
-                "counters": dict(tracer.counters),
-                "gauges": {k: dict(v) for k, v in tracer.gauges.items()},
-            },
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(doc) + "\n")

@@ -166,41 +166,19 @@ class SLOEngine:
             "requests": len(arrivals),
             "completed": len(latencies),
         }
-        slos = []
-        for name, target in (
-            ("latency_p95_seconds", self.config.latency_p95_seconds),
-            ("error_rate", self.config.error_rate),
-            ("shed_rate", self.config.shed_rate),
-        ):
-            if target is None:
-                continue
-            value = observed[name]
-            burn = value / target if target > 0 else (math.inf if value else 0.0)
-            slos.append(
-                {
-                    "name": name,
-                    "target": target,
-                    "observed": value,
-                    "burn_rate": burn,
-                    "ok": burn <= 1.0,
-                }
-            )
-        return {
-            "config": self.config.to_dict(),
-            "window_seconds": window,
-            "observed": observed,
-            "slos": slos,
-            "ok": all(s["ok"] for s in slos),
-        }
+        return reevaluate(
+            {"observed": observed, "window_seconds": window}, self.config
+        )
 
 
 def reevaluate(status: dict[str, Any], config: SLOConfig) -> dict[str, Any]:
-    """Re-judge a status dict's observed values against *config*.
+    """Judge a status dict's observed values against *config*.
 
-    ``mcretime slo check --url … --config …`` gates a live server
-    against a *committed* config, which may differ from the targets the
-    server was started with — only the observed window values are
-    reused.
+    The one judging loop: :meth:`SLOEngine.status` judges its window
+    through it, and ``mcretime slo check --url … --config …`` gates a
+    live server against a *committed* config, which may differ from
+    the targets the server was started with — only the observed window
+    values are reused.
     """
     observed = dict(status.get("observed", {}))
     slos = []

@@ -30,8 +30,10 @@ so the merged timeline is one tree per request spanning both processes.
 
 The stitched output is a valid JSONL trace (synthetic stitched meta
 first, per-process meta/end records preserved as interior events, one
-merged end record last) and exports to Chrome ``trace_event`` JSON with
-one named process track per pid.
+merged end record last — :func:`~repro.obs.tracer.end_event` over the
+rebased events) and exports to Chrome ``trace_event`` JSON through the
+same encoder as a single run (:func:`~repro.obs.report.chrome_doc`),
+with one named process track per pid.
 
 The critical-path analyzer (:func:`critical_path`) attributes each
 request's wall time to **queue / intern / solve / respond** —
@@ -44,7 +46,8 @@ import json
 from pathlib import Path
 from typing import Any, Iterable
 
-from .report import span_totals
+from .report import aggregate, chrome_doc, load_events
+from .tracer import end_event
 
 __all__ = [
     "critical_path",
@@ -52,7 +55,6 @@ __all__ = [
     "request_timelines",
     "stitch_dir",
     "stitch_events",
-    "stitched_chrome_doc",
     "trace_groups",
     "write_chrome",
     "write_jsonl",
@@ -66,21 +68,6 @@ REQUEST_SUFFIX = ".req.jsonl"
 # ---------------------------------------------------------------------------
 # loading and grouping
 # ---------------------------------------------------------------------------
-
-
-def _load_jsonl(path: Path) -> list[dict[str, Any]]:
-    events: list[dict[str, Any]] = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            events.append(json.loads(line))
-        except json.JSONDecodeError:
-            # a live query can race a worker mid-write; drop the
-            # partial trailing line rather than failing the whole trace
-            continue
-    return events
 
 
 def trace_groups(trace_dir: str | Path) -> dict[str, list[Path]]:
@@ -124,9 +111,7 @@ def stitch_events(
     procs: list[dict[str, Any]] = []
     for source in sources:
         events = (
-            list(source)
-            if isinstance(source, list)
-            else _load_jsonl(Path(source))
+            list(source) if isinstance(source, list) else load_events(source)
         )
         if not events:
             continue
@@ -161,9 +146,10 @@ def stitch_events(
                 global_id[(proc["pid"], local_id)] = local_id + offset
         offset += local_max
 
-    merged: list[dict[str, Any]] = []
+    metas: list[dict[str, Any]] = []
     ends: list[dict[str, Any]] = []
-    counters: dict[str, float] = {}
+    #: rebased span/counter/gauge events, each process in its own order
+    body: list[dict[str, Any]] = []
     for proc in procs:
         base = max(0.0, proc["wall0"] - origin)
         shift = proc["offset"]
@@ -172,6 +158,7 @@ def stitch_events(
         # spans under the minting process's span
         parent_span = meta.get("parent_span")
         parent_pid = meta.get("parent_pid")
+        job = meta.get("job")
         cross_parent = (
             global_id.get((parent_pid, parent_span))
             if parent_span and parent_pid is not None
@@ -181,42 +168,30 @@ def stitch_events(
             kind = event.get("type")
             out = dict(event)
             if kind == "meta":
-                merged.append(out)
+                metas.append(out)
                 continue
             # rebase onto the common origin; clamp so no event renders
-            # with a negative start (satellite: cross-process skew fix)
+            # with a negative start
             out["ts"] = max(0.0, base + float(event.get("ts", 0.0)))
             if kind == "end":
-                for name, value in (event.get("counters") or {}).items():
-                    counters[name] = counters.get(name, 0.0) + value
                 ends.append(out)
                 continue
             if kind == "span":
                 out["dur"] = max(0.0, float(event.get("dur", 0.0)))
                 out["id"] = int(event["id"]) + shift
+                # re-parenting makes a recorded self time stale; readers
+                # work self times out from the parent links
+                out.pop("self", None)
+                if job:
+                    out["args"] = {"job": job, **event.get("args", {})}
                 parent = int(event.get("parent", 0))
                 if parent > 0:
                     out["parent"] = parent + shift
                 elif cross_parent is not None:
                     out["parent"] = cross_parent
                     out["stitched_parent"] = True
-            merged.append(out)
+            body.append(out)
 
-    metas = [e for e in merged if e.get("type") == "meta"]
-    body = [e for e in merged if e.get("type") != "meta"]
-    body.sort(key=lambda e: e.get("ts", 0.0))
-    # re-parenting moves whole subtrees under new parents, so recompute
-    # every span's self time against its (possibly new) children
-    child_dur: dict[int, float] = {}
-    for event in body:
-        if event.get("type") == "span":
-            parent = int(event.get("parent", 0))
-            child_dur[parent] = child_dur.get(parent, 0.0) + event["dur"]
-    for event in body:
-        if event.get("type") == "span":
-            event["self"] = max(
-                0.0, event["dur"] - child_dur.get(event["id"], 0.0)
-            )
     trace_ids = sorted({p["trace_id"] for p in procs if p["trace_id"]})
     head = {
         "type": "meta",
@@ -229,20 +204,15 @@ def stitch_events(
             for p in procs
         ],
     }
-    tail = {
-        "type": "end",
-        "trace_id": head["trace_id"],
-        "ts": max(
-            [e.get("ts", 0.0) + e.get("dur", 0.0) for e in body] or [0.0]
-        ),
-        "counters": counters,
-        "gauges": {},
-        "spans": span_totals(body),
-        "pid": procs[0]["pid"],
-        "stitched": True,
-    }
-    return [head, *metas, *[e for e in body if e.get("type") != "end"],
-            *ends, tail]
+    # the merged end record summarises every process (so it names no
+    # pid), aggregating each in its own event order: its span totals
+    # equal each process's bit for bit
+    merged = [*body, *ends]
+    last = max((e["ts"] + e.get("dur", 0.0) for e in merged), default=0.0)
+    tail = end_event(merged, head["trace_id"], last)
+    tail["stitched"] = True
+    body.sort(key=lambda e: e.get("ts", 0.0))
+    return [head, *metas, *body, *ends, tail]
 
 
 def stitch_dir(
@@ -265,73 +235,21 @@ def stitch_dir(
 # ---------------------------------------------------------------------------
 
 
-def stitched_chrome_doc(
-    stitched: dict[str, list[dict[str, Any]]]
-) -> dict[str, Any]:
-    """One Chrome ``trace_event`` document over stitched request groups.
-
-    Each pid gets a named process track (``frontend``/``worker``, from
-    the per-process meta records), so Perfetto renders the front-end
-    and every worker as separate rows on one shared wall-clock axis.
-    """
-    trace_events: list[dict[str, Any]] = []
-    roles: dict[int, str] = {}
-    counters: dict[str, float] = {}
-    trace_ids: list[str] = []
-    for key, events in stitched.items():
-        for event in events:
-            kind = event.get("type")
-            if kind == "meta" and "pid" in event and not event.get("stitched"):
-                roles.setdefault(
-                    event["pid"], str(event.get("role", "process"))
-                )
-            elif kind == "span":
-                out = {
-                    "name": event["name"],
-                    "cat": event["name"].split(".", 1)[0],
-                    "ph": "X",
-                    "ts": event["ts"] * 1e6,
-                    "dur": event["dur"] * 1e6,
-                    "pid": event.get("pid", 0),
-                    "tid": event.get("tid", 0),
-                }
-                args = dict(event.get("args", {}))
-                args.setdefault("job", key)
-                out["args"] = args
-                trace_events.append(out)
-            elif kind == "end" and event.get("stitched"):
-                trace_ids.append(str(event.get("trace_id", "")))
-                for name, value in (event.get("counters") or {}).items():
-                    counters[name] = counters.get(name, 0.0) + value
-    metadata = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "args": {"name": f"{role} ({pid})"},
-        }
-        for pid, role in sorted(roles.items())
-    ]
-    return {
-        "traceEvents": metadata + trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "stitched": True,
-            "requests": len(stitched),
-            "trace_ids": trace_ids,
-            "counters": counters,
-        },
-    }
-
-
 def write_chrome(
     stitched: dict[str, list[dict[str, Any]]], path: str | Path
 ) -> None:
-    """Write the merged Chrome trace for stitched request groups."""
+    """Write one Chrome trace over groups of span records.
+
+    The groups (stitched requests, or a single run's record) are
+    encoded back to back by :func:`~repro.obs.report.chrome_doc`; each
+    pid gets a named process track (``frontend (pid)``, ``worker
+    (pid)``) from its meta records, so Perfetto renders the front-end
+    and every worker as separate rows on one shared wall-clock axis.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(stitched_chrome_doc(stitched)) + "\n")
+    events = [event for group in stitched.values() for event in group]
+    path.write_text(json.dumps(chrome_doc(events)) + "\n")
 
 
 def write_jsonl(events: list[dict[str, Any]], path: str | Path) -> None:
@@ -427,14 +345,14 @@ def critical_path(
     """
     rows: list[dict[str, Any]] = []
     for key, events in sorted(stitched.items()):
-        spans = [e for e in events if e.get("type") == "span"]
-        roots = [s for s in spans if s["name"] == "request"]
-        if not roots:
+        spans = aggregate(events)["spans"]
+        if "request" not in spans:
             continue
-        total = sum(s["dur"] for s in roots)
-        queue = sum(s["dur"] for s in spans if s["name"] == "request.queue")
-        intern = sum(s["dur"] for s in spans if s["name"] == "worker.resolve")
-        solve = sum(s["dur"] for s in spans if s["name"] == "job.execute")
+        total = spans["request"]
+        queue, intern, solve = (
+            spans.get(name, 0.0)
+            for name in ("request.queue", "worker.resolve", "job.execute")
+        )
         respond = max(0.0, total - queue - intern - solve)
         rows.append(
             {

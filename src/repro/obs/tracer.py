@@ -20,6 +20,13 @@ its depth, its parent's span id, and any keyword arguments.  Counters
 incremented while a span is open are additionally attributed to that
 span, so the summary tree can show per-phase iteration counts.
 
+``Tracer.events`` is the run's *span record*; every aggregate of the
+run (``Tracer.snapshot()``, the ``end`` record, the Chrome trace, the
+run ledger) is derived from it by :func:`repro.obs.report.aggregate`.
+:func:`span_event` and :func:`end_event` build its span and end
+records, for the tracer and for anything that writes a record by hand
+(the service front-end's request trace, the stitcher).
+
 ``timed`` is the variant the engine and flow layers use for their
 ``timings`` dicts: it measures wall-clock even when tracing is
 disabled (returning a plain stopwatch), so ``MCRetimeResult.timings``
@@ -35,7 +42,7 @@ import time
 import uuid
 from typing import Any, Callable
 
-from .report import span_totals
+from .report import aggregate
 
 __all__ = [
     "NULL_SPAN",
@@ -47,9 +54,11 @@ __all__ = [
     "count",
     "current",
     "enabled",
+    "end_event",
     "finalize_total",
     "gauge",
     "span",
+    "span_event",
     "start",
     "stop",
     "timed",
@@ -105,6 +114,57 @@ class Stopwatch:
         return self
 
 
+def span_event(
+    name: str,
+    span_id: int,
+    parent: int,
+    depth: int,
+    ts: float,
+    dur: float,
+    pid: int,
+    tid: int,
+    args: dict[str, Any] | None = None,
+    counters: dict[str, float] | None = None,
+    error: bool = False,
+) -> dict[str, Any]:
+    """One closed span as a span-record event (``ts``/``dur`` in s)."""
+    event: dict[str, Any] = {
+        "type": "span",
+        "name": name,
+        "id": span_id,
+        "parent": parent,
+        "depth": depth,
+        "ts": ts,
+        "dur": dur,
+        "pid": pid,
+        "tid": tid,
+    }
+    if args:
+        event["args"] = args
+    if counters:
+        event["counters"] = counters
+    if error:
+        event["error"] = True
+    return event
+
+
+def end_event(
+    events: list[dict[str, Any]],
+    trace_id: str,
+    ts: float,
+    pid: int | None = None,
+) -> dict[str, Any]:
+    """The ``end`` record closing *events*: their :func:`aggregate` maps.
+
+    A process's end record names its *pid*; one that summarises several
+    processes (a stitched timeline) names none.
+    """
+    end = {"type": "end", "trace_id": trace_id, "ts": ts, **aggregate(events)}
+    if pid is not None:
+        end["pid"] = pid
+    return end
+
+
 class Span:
     """One live span; becomes an event dict when it closes."""
 
@@ -119,7 +179,6 @@ class Span:
         "duration",
         "counters",
         "_t0",
-        "_child_time",
     )
 
     def __init__(
@@ -142,7 +201,6 @@ class Span:
         self.duration = 0.0
         #: counters incremented while this span was innermost
         self.counters: dict[str, float] = {}
-        self._child_time = 0.0
 
     def set(self, **args: Any) -> "Span":
         """Attach extra arguments to the span (chainable)."""
@@ -176,9 +234,10 @@ class Tracer:
         self.t0 = _perf_counter()
         #: wall-clock anchor (for cross-process alignment in reports)
         self.wall0 = time.time()
+        #: the span record: every event of the run, in recording order
         self.events: list[dict[str, Any]] = []
+        #: live counter totals (the record's counter events carry them)
         self.counters: dict[str, float] = {}
-        self.gauges: dict[str, dict[str, float]] = {}
         #: result annotations (period, register count, …) attached via
         #: :func:`annotate`; the run-ledger record carries them as
         #: ``metrics``
@@ -247,26 +306,19 @@ class Tracer:
             stack.pop()
         if stack:
             stack.pop()
-        if stack:
-            stack[-1]._child_time += sp.duration
-        event: dict[str, Any] = {
-            "type": "span",
-            "name": sp.name,
-            "id": sp.span_id,
-            "parent": sp.parent_id,
-            "depth": sp.depth,
-            "ts": t0 - self.t0,
-            "dur": sp.duration,
-            "self": sp.duration - sp._child_time,
-            "pid": self.pid,
-            "tid": sp.tid,
-        }
-        if sp.args:
-            event["args"] = sp.args
-        if sp.counters:
-            event["counters"] = sp.counters
-        if errored:
-            event["error"] = True
+        event = span_event(
+            sp.name,
+            sp.span_id,
+            sp.parent_id,
+            sp.depth,
+            t0 - self.t0,
+            sp.duration,
+            self.pid,
+            sp.tid,
+            sp.args,
+            sp.counters,
+            errored,
+        )
         with self._lock:
             self.events.append(event)
         self._emit(event)
@@ -275,21 +327,19 @@ class Tracer:
 
     def count(self, name: str, value: float = 1) -> None:
         """Increment a monotonic counter (attributed to the open span)."""
-        with self._lock:
-            total = self.counters.get(name, 0) + value
-            self.counters[name] = total
         stack = getattr(self._tls, "stack", None)
         if stack:
             sp = stack[-1]
             sp.counters[name] = sp.counters.get(name, 0) + value
-        event = {
-            "type": "counter",
-            "name": name,
-            "value": total,
-            "ts": _perf_counter() - self.t0,
-            "pid": self.pid,
-        }
         with self._lock:
+            total = self.counters[name] = self.counters.get(name, 0) + value
+            event = {
+                "type": "counter",
+                "name": name,
+                "value": total,
+                "ts": _perf_counter() - self.t0,
+                "pid": self.pid,
+            }
             self.events.append(event)
         self._emit(event)
 
@@ -300,21 +350,6 @@ class Tracer:
 
     def gauge(self, name: str, value: float) -> None:
         """Record an instantaneous measurement (dirty-region size, φ…)."""
-        with self._lock:
-            stat = self.gauges.get(name)
-            if stat is None:
-                stat = self.gauges[name] = {
-                    "count": 0,
-                    "sum": 0.0,
-                    "min": value,
-                    "max": value,
-                    "last": value,
-                }
-            stat["count"] += 1
-            stat["sum"] += value
-            stat["min"] = min(stat["min"], value)
-            stat["max"] = max(stat["max"], value)
-            stat["last"] = value
         event = {
             "type": "gauge",
             "name": name,
@@ -337,67 +372,18 @@ class Tracer:
         if self._closed:
             return
         self._closed = True
-        end = {
-            "type": "end",
-            "trace_id": self.trace_id,
-            "ts": _perf_counter() - self.t0,
-            "counters": dict(self.counters),
-            "gauges": {k: dict(v) for k, v in self.gauges.items()},
-            "spans": self.span_totals(),
-            "pid": self.pid,
-        }
+        end = end_event(
+            self.events, self.trace_id, _perf_counter() - self.t0, self.pid
+        )
         with self._lock:
             self.events.append(end)
         self._emit(end)
         for sink in self.sinks:
             sink.close(self)
 
-    # -- aggregation ----------------------------------------------------
-
-    def span_totals(self) -> dict[str, float]:
-        """Total duration per span name, summed in event order.
-
-        The per-name sums accumulate left-to-right exactly like the
-        engine's ``timings[phase] += duration`` loop, so totals match
-        the timings dicts bit-for-bit.
-        """
-        return span_totals(self.events)
-
-    def span_self_totals(self) -> dict[str, float]:
-        """Total *self* time (duration minus child spans) per span name."""
-        totals: dict[str, float] = {}
-        for event in self.events:
-            if event.get("type") == "span":
-                name = event["name"]
-                totals[name] = totals.get(name, 0.0) + event.get(
-                    "self", event["dur"]
-                )
-        return totals
-
-    def span_counts(self) -> dict[str, int]:
-        """Number of completed spans per span name.
-
-        Alongside :meth:`span_totals` this turns a total into a rate:
-        1000 calls of 1ms and one 1s call total the same but mean very
-        different things for an optimiser.
-        """
-        counts: dict[str, int] = {}
-        for event in self.events:
-            if event.get("type") == "span":
-                name = event["name"]
-                counts[name] = counts.get(name, 0) + 1
-        return counts
-
     def snapshot(self) -> dict[str, Any]:
         """JSON-safe aggregate used to ship results across processes."""
-        return {
-            "trace_id": self.trace_id,
-            "spans": self.span_totals(),
-            "self_times": self.span_self_totals(),
-            "span_counts": self.span_counts(),
-            "counters": dict(self.counters),
-            "gauges": {k: dict(v) for k, v in self.gauges.items()},
-        }
+        return {"trace_id": self.trace_id, **aggregate(self.events)}
 
     def summary(self) -> str:
         """The human-readable text summary tree for this trace."""

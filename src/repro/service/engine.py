@@ -24,8 +24,9 @@ additionally bridged into ``repro_span_seconds{span=...}`` whenever
 workers trace (``trace_dir`` set, or ``REPRO_TRACE_SPANS`` inherited),
 each observation carrying a ``{run="<job id>"}`` exemplar so a slow
 bucket points back at a concrete job.  Pass ``ledger=`` to append one
-``service.job`` run-ledger record per executed job
-(:mod:`repro.obs.ledger`), served back by ``GET /runs``.
+``service.job`` run-ledger record (:mod:`repro.obs.ledger`) per
+finished job and per shed submission, with its ``status`` (``done``,
+``failed`` or ``shed``), served back by ``GET /runs``.
 """
 
 from __future__ import annotations
@@ -347,6 +348,7 @@ class RetimeService:
             record = JobRecord(
                 job_id, design_key, submitted_at, options=job.options()
             )
+            shed = None
             with self._lock:
                 # one step under the lock: nothing can coalesce onto a
                 # record that the pool then sheds
@@ -363,12 +365,18 @@ class RetimeService:
                         )
                 except PoolSaturatedError as exc:
                     del self._inflight[job_id]
-                    self._shed.inc(exemplar={"run": job_id[:16]})
-                    obs.count("service.shed")
-                    self.slo.observe_shed()
-                    raise ServiceOverloadedError(
-                        429, str(exc), retry_after=self._retry_after()
-                    ) from None
+                    shed = exc
+            if shed is not None:
+                self._shed.inc(exemplar={"run": job_id[:16]})
+                obs.count("service.shed")
+                self.slo.observe_shed()
+                self._ledger_append(
+                    job_id, "shed", record.options,
+                    elapsed=time.perf_counter() - t0,
+                )
+                raise ServiceOverloadedError(
+                    429, str(shed), retry_after=self._retry_after()
+                ) from None
             record.trace["admit_s"] = time.perf_counter() - t0
         return record
 
@@ -523,6 +531,7 @@ class RetimeService:
                 self._verify_checks.inc()
                 self._verify_failures.inc()
             self.cache.put(record)
+            self._ledger_append(job_id, "failed", record.options, result)
             return
         self._completed.inc()
         self._latency.observe(result.elapsed)
@@ -562,7 +571,7 @@ class RetimeService:
             if seconds is not None:
                 self._explain_seconds.observe(float(seconds), exemplar=run)
         self.cache.put(record)
-        self._ledger_append(record)
+        self._ledger_append(job_id, "done", record.options, result)
 
     def _write_request_trace(self, record: JobRecord) -> None:
         """Write the front-end's synthetic request span tree.
@@ -585,29 +594,18 @@ class RetimeService:
         """
         job_id, trace = record.job_id, record.trace
         submit_wall = record.submitted_at
-        done_wall = time.time()
-        total = max(0.0, done_wall - submit_wall)
+        total = max(0.0, time.time() - submit_wall)
         admit_s = min(total, trace.get("admit_s", 0.0))
         dispatch_wall = trace.get("dispatch_wall")
         job16 = job_id[:16]
         pid = os.getpid()
 
-        def span(name, sid, ts, dur, self_s, **args):
-            out = {
-                "type": "span",
-                "name": name,
-                "id": sid,
-                "parent": _REQ_ROOT_ID if sid != _REQ_ROOT_ID else 0,
-                "depth": 0 if sid == _REQ_ROOT_ID else 1,
-                "ts": max(0.0, ts),
-                "dur": max(0.0, dur),
-                "self": max(0.0, self_s),
-                "pid": pid,
-                "tid": 0,
-            }
-            if args:
-                out["args"] = args
-            return out
+        def span(name, sid, ts, dur, **args):
+            root = sid == _REQ_ROOT_ID
+            return obs.span_event(
+                name, sid, 0 if root else _REQ_ROOT_ID, 0 if root else 1,
+                max(0.0, ts), max(0.0, dur), pid, 0, args,
+            )
 
         events = [
             {
@@ -618,22 +616,16 @@ class RetimeService:
                 "role": "frontend",
                 "job": job16,
             },
-            span(
-                "request.admit", _REQ_ADMIT_ID, 0.0, admit_s, admit_s,
-                job=job16,
-            ),
+            span("request.admit", _REQ_ADMIT_ID, 0.0, admit_s, job=job16),
         ]
-        child_total = admit_s
         if dispatch_wall is not None:
             queued_s = min(total, trace.get("queued_s", 0.0))
             dispatch_ts = min(total, max(0.0, dispatch_wall - submit_wall))
-            dispatch_s = total - dispatch_ts
             events.append(
                 span(
                     "request.queue",
                     _REQ_QUEUE_ID,
                     dispatch_ts - queued_s,
-                    queued_s,
                     queued_s,
                     shard=trace.get("shard"),
                     worker=trace.get("worker"),
@@ -645,33 +637,12 @@ class RetimeService:
                     "request.dispatch",
                     _REQ_DISPATCH_ID,
                     dispatch_ts,
-                    dispatch_s,
-                    dispatch_s,
+                    total - dispatch_ts,
                     job=job16,
                 )
             )
-            child_total += queued_s + dispatch_s
-        events.append(
-            span(
-                "request",
-                _REQ_ROOT_ID,
-                0.0,
-                total,
-                max(0.0, total - child_total),
-                job=job16,
-            )
-        )
-        events.append(
-            {
-                "type": "end",
-                "trace_id": job_id,
-                "ts": total,
-                "counters": {},
-                "gauges": {},
-                "spans": {e["name"]: e["dur"] for e in events[1:]},
-                "pid": pid,
-            }
-        )
+        events.append(span("request", _REQ_ROOT_ID, 0.0, total, job=job16))
+        events.append(obs.end_event(events, job_id, total, pid))
         try:
             obs.write_jsonl(events, self.trace_dir / f"{job16}.req.jsonl")
         except OSError:
@@ -727,40 +698,56 @@ class RetimeService:
             "explanation": explain.get("explanation"),
         }
 
-    def _ledger_append(self, record: JobRecord) -> None:
-        """Append one ``service.job`` record to the service run ledger."""
+    def _ledger_append(
+        self,
+        job_id: str,
+        status: str,
+        options: dict | None,
+        result: JobResult | None = None,
+        elapsed: float = 0.0,
+    ) -> None:
+        """Append one ``service.job`` record to the service run ledger.
+
+        Every finished job (``done`` or ``failed``) and every shed
+        submission (``shed``, no result) leaves one record, so the
+        offline SLO gate sees the same outcomes the live one did.
+        """
         if self.ledger is None:
             return
-        job_id, result = record.job_id, record.result
-        snapshot = result.metrics.get("obs") or {}
-        metrics = {
-            key: value
-            for key, value in result.metrics.items()
-            if isinstance(value, (int, float)) and not isinstance(value, bool)
-        }
-        metrics["elapsed"] = result.elapsed
-        explain = result.metrics.get("explain")
-        if explain:
-            # the flat explanation summary becomes diffable run-ledger
-            # fields (certificate count, validity, witness sizes)
-            for key, value in (explain.get("summary") or {}).items():
-                if isinstance(value, bool):
-                    metrics[f"explain_{key}"] = int(value)
-                elif isinstance(value, (int, float)):
-                    metrics[f"explain_{key}"] = value
+        snapshot: dict = {}
+        metrics: dict = {}
+        if result is not None:
+            snapshot = result.metrics.get("obs") or {}
+            metrics = {
+                key: value
+                for key, value in result.metrics.items()
+                if isinstance(value, (int, float))
+                and not isinstance(value, bool)
+            }
+            elapsed = result.elapsed
+            explain = result.metrics.get("explain")
+            if explain:
+                # the flat explanation summary becomes diffable
+                # run-ledger fields (certificate count, validity,
+                # witness sizes)
+                for key, value in (explain.get("summary") or {}).items():
+                    if isinstance(value, bool):
+                        metrics[f"explain_{key}"] = int(value)
+                    elif isinstance(value, (int, float)):
+                        metrics[f"explain_{key}"] = value
+        metrics["elapsed"] = elapsed
         try:
             self.ledger.append(
-                obs.build_record(
-                    kind="service.job",
+                obs.record_from_snapshot(
+                    snapshot,
+                    "service.job",
                     run_id=job_id[:16],
                     fingerprint=job_id,
-                    config=dict(record.options or {}),
-                    spans=snapshot.get("spans") or {},
-                    self_times=snapshot.get("self_times") or {},
-                    counters=snapshot.get("counters") or {},
+                    config=dict(options or {}),
                     metrics=metrics,
+                    status=status,
                 )
             )
         except (OSError, ValueError):
-            # a broken ledger must never fail a completed job
+            # a broken ledger must never fail a job
             pass

@@ -326,7 +326,8 @@ def _retime_main(argv: list[str]) -> int:
         return 0
 
     accepted = True
-    verify_check = None
+    #: (leg label, check result) per transform leg --verify checked
+    verify_legs = []
     try:
         with _observed(args, circuit, "retime", {
             "input": str(args.input),
@@ -357,7 +358,13 @@ def _retime_main(argv: list[str]) -> int:
                 result = final.retime
                 retimed = final.circuit
                 accepted = final.accepted
-                verify_check = final.verify or flow.verify
+                if args.verify:
+                    # one verdict per leg: a leg that skipped its check
+                    # must not borrow the other leg's
+                    verify_legs = [
+                        ("mapping leg (input -> mapped): ", flow.verify),
+                        ("retiming leg (mapped -> final): ", final.verify),
+                    ]
             else:
                 result = mc_retime(
                     circuit,
@@ -368,11 +375,12 @@ def _retime_main(argv: list[str]) -> int:
                 )
                 retimed = result.circuit
                 if args.verify:
-                    verify_check = check_sequential(
+                    check = check_sequential(
                         circuit, retimed, cycles=args.verify_cycles
                     )
-                    if not verify_check.equivalent:
-                        raise VerificationError(verify_check)
+                    if not check.equivalent:
+                        raise VerificationError(check)
+                    verify_legs = [("", check)]
             check_circuit(retimed)
             if obs.enabled():
                 stats = circuit_stats(retimed)
@@ -398,11 +406,14 @@ def _retime_main(argv: list[str]) -> int:
     except VerificationError as exc:
         return _fail(str(exc))
     print(f"retimed: {_stats_line(retimed, model)}")
-    if verify_check is not None:
-        print(
-            f"verified: {verify_check.cycles} cycles x "
-            f"{verify_check.lanes} lanes, refinement holds"
-        )
+    for leg, check in verify_legs:
+        if check is None:
+            print(f"verified: {leg}NOT CHECKED")
+        else:
+            print(
+                f"verified: {leg}{check.cycles} cycles x "
+                f"{check.lanes} lanes, refinement holds"
+            )
     if not accepted:
         print(
             "  (retiming rejected: STA delay regressed on the retimed "
@@ -1213,11 +1224,7 @@ def _report_main(argv: list[str]) -> int:
 
     try:
         if args.validate:
-            head = args.trace.read_text()[:200].strip()
-            if '"traceEvents"' in head:
-                errors = obs.chrome_trace_errors(args.trace)
-            else:
-                errors = obs.jsonl_errors(args.trace)
+            errors = obs.trace_errors(args.trace)
             if errors:
                 # every violation, not just the first — and a non-zero
                 # exit so CI steps actually gate on the schema

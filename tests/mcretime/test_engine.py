@@ -89,7 +89,7 @@ class TestEngine:
                 mc_retime(circuit, objective="minperiod", target_period=0.5)
         finally:
             obs.stop()
-        assert tracer.span_counts()["minperiod.feas"] == 1
+        assert tracer.snapshot()["span_counts"]["minperiod.feas"] == 1
         assert str(err.value) == "target period 0.5 infeasible for 'C3'"
         assert err.value.certificate() == {
             "kind": "negative_cycle",

@@ -1,6 +1,7 @@
-"""The run ledger: schema, round-trip, tolerance, rotation."""
+"""The run ledger: schema, round-trip, tolerance."""
 
 import json
+import threading
 
 import pytest
 
@@ -79,6 +80,33 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             ledger.append({"kind": "t"})
 
+    def test_concurrent_appends_stay_whole(self, tmp_path):
+        # a service appends from its result thread and from admitting
+        # threads; records larger than a write buffer must not tear
+        ledger = obs.RunLedger(tmp_path / "runs.jsonl")
+        spans = {f"span.{i:04d}": float(i) for i in range(1500)}
+
+        def append(worker):
+            for i in range(20):
+                ledger.append(
+                    obs.build_record(
+                        kind="t", run_id=f"w{worker}-{i}", ts=1.0, spans=spans
+                    )
+                )
+
+        threads = [
+            threading.Thread(target=append, args=(w,)) for w in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        records = ledger.load()
+        assert ledger.skipped == 0
+        assert len(records) == 8 * 20
+        assert all(r["spans"] == spans for r in records)
+
     def test_tail(self, tmp_path):
         ledger = obs.RunLedger(tmp_path / "runs.jsonl")
         for i in range(5):
@@ -99,43 +127,8 @@ class TestTolerance:
         assert [r["run_id"] for r in records] == ["good", "good2"]
         assert ledger.skipped == 2
 
-    def test_strict_raises_with_line_number(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        obs.RunLedger(path).append(
-            obs.build_record(kind="t", run_id="r", ts=1.0)
-        )
-        path.open("a").write("garbage\n")
-        with pytest.raises(ValueError, match=":2:"):
-            obs.RunLedger(path).load(strict=True)
-
     def test_missing_file_is_empty(self, tmp_path):
         assert obs.RunLedger(tmp_path / "absent.jsonl").load() == []
-
-
-class TestRotation:
-    def test_explicit_rotate(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        ledger = obs.RunLedger(path)
-        for i in range(10):
-            ledger.append(obs.build_record(kind="t", run_id=f"r{i}", ts=float(i)))
-        rotated = ledger.rotate(keep=3)
-        assert rotated == 7
-        assert [r["run_id"] for r in ledger.load()] == ["r7", "r8", "r9"]
-        backup = obs.RunLedger(path.with_name(path.name + ".1")).load()
-        assert [r["run_id"] for r in backup] == [f"r{i}" for i in range(7)]
-
-    def test_auto_rotate_on_append(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        ledger = obs.RunLedger(path, max_records=4)
-        for i in range(9):
-            ledger.append(obs.build_record(kind="t", run_id=f"r{i}", ts=float(i)))
-        assert len(ledger.load()) <= 4
-        assert ledger.load()[-1]["run_id"] == "r8"
-
-    def test_rotate_noop_when_small(self, tmp_path):
-        ledger = obs.RunLedger(tmp_path / "runs.jsonl")
-        ledger.append(obs.build_record(kind="t", run_id="r", ts=1.0))
-        assert ledger.rotate(keep=5) == 0
 
 
 class TestTracerIntegration:
@@ -147,8 +140,8 @@ class TestTracerIntegration:
         obs.count("widgets", 3)
         obs.annotate(period=12.5)
         obs.stop()
-        record = obs.record_from_tracer(
-            tracer, "test.run", metrics=dict(tracer.results)
+        record = obs.record_from_snapshot(
+            tracer.snapshot(), "test.run", metrics=dict(tracer.results)
         )
         assert record["run_id"] == "tid-1"
         assert "phase.a" in record["spans"]
@@ -206,7 +199,9 @@ class TestCommittedBaseline:
                 ledger_mod.validate_record(record)
                 old.write(json.dumps(record) + "\n")
                 new.write(json.dumps(current) + "\n")
-        loaded = ledger_mod.RunLedger(baseline).load(strict=True)
+        ledger = ledger_mod.RunLedger(baseline)
+        loaded = ledger.load()
+        assert ledger.skipped == 0
         assert all(r["env"]["kernels"] is True for r in loaded)
         report = sentinel.check(
             baseline, fresh, mode="relative", threshold=2.0

@@ -31,7 +31,7 @@ class TestTimingsFromSpans:
             result = mc_retime(load("c2_small"), delay_model=UNIT_DELAY)
         finally:
             obs.stop()
-        totals = tracer.span_totals()
+        totals = tracer.snapshot()["spans"]
         assert result.timings  # sanity: phases were recorded
         for phase, seconds in result.timings.items():
             if phase == "total":
@@ -42,7 +42,7 @@ class TestTimingsFromSpans:
         path = tmp_path / "run.jsonl"
         with obs.session(jsonl=path):
             result = mc_retime(load("c2_small"), delay_model=UNIT_DELAY)
-        totals = report.span_totals(obs.load_events(path))
+        totals = report.aggregate(obs.load_events(path))["spans"]
         for phase, seconds in result.timings.items():
             if phase == "total":
                 continue
@@ -51,7 +51,7 @@ class TestTimingsFromSpans:
         path = tmp_path / "flow.jsonl"
         with obs.session(jsonl=path):
             flow = retime_flow(load("c2_small"), XC4000E_DELAY)
-        totals = report.span_totals(obs.load_events(path))
+        totals = report.aggregate(obs.load_events(path))["spans"]
         assert set(flow.timings) > {"total"}
         for stage, seconds in flow.timings.items():
             if stage == "total":
@@ -74,7 +74,7 @@ class TestAlgorithmCounters:
         # supporting internals
         assert counters.get("minperiod.probes", 0) > 0
         assert counters.get("minarea.rounds", 0) > 0
-        assert "minperiod.phi" in tracer.gauges
+        assert "minperiod.phi" in tracer.snapshot()["gauges"]
 
     def test_counters_attributed_to_phase_spans(self):
         tracer = obs.start()

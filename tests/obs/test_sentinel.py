@@ -62,6 +62,16 @@ class TestDiff:
         assert report.ok
         assert len(report.deltas) == 1
 
+    def test_only_finished_runs_compare(self):
+        # a failed or shed service record carries no timings: two of
+        # them would pull the median-of-3 of the slow runs back to 0.1
+        current = [_rec(ts=float(i), hot=0.5) for i in range(2)]
+        for ts, status in ((2.0, "failed"), (3.0, "shed")):
+            current.append(dict(_rec(ts=ts, hot=0.1), status=status))
+        report = sentinel.diff([_rec(hot=0.1)], current, window=3)
+        (delta,) = report.regressions
+        assert delta.current == pytest.approx(0.5)
+
     def test_unmatched_groups_reported_not_compared(self):
         report = sentinel.diff(
             [_rec(kind="only.base", hot=1.0)], [_rec(kind="only.cur", hot=1.0)]

@@ -52,7 +52,7 @@ class TestCrossProcessPropagation:
     def test_worker_trace_covers_the_engine(self, traced_run):
         job, result, trace_dir, _ = traced_run
         path = trace_dir / f"{job.canonical_key[:16]}.jsonl"
-        totals = report.span_totals(report.load_events(path))
+        totals = report.aggregate(report.load_events(path))["spans"]
         assert "job.execute" in totals
         assert "engine.minperiod" in totals
         # the snapshot shipped in metrics matches the file the worker wrote

@@ -1,11 +1,17 @@
-"""Sink output formats: JSONL framing, Chrome trace schema, reports."""
+"""Trace outputs: JSONL framing, Chrome trace schema, reports, and
+the one span record every view of a run derives from."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro import obs
-from repro.obs import report
+from repro.mcretime import mc_retime
+from repro.netlist import read_blif
+from repro.obs import report, stitch
+
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def trace_something(**session_kwargs):
@@ -54,9 +60,9 @@ class TestJsonlSink:
     def test_round_trip_preserves_span_totals_exactly(self, tmp_path):
         path = tmp_path / "run.jsonl"
         tracer = trace_something(jsonl=path)
-        events = obs.load_events(path)
-        assert report.span_totals(events) == tracer.span_totals()
-        assert report.counters(events) == tracer.counters
+        maps = report.aggregate(obs.load_events(path))
+        assert maps["spans"] == tracer.snapshot()["spans"]
+        assert maps["counters"] == tracer.counters
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "down" / "run.jsonl"
@@ -65,6 +71,9 @@ class TestJsonlSink:
 
 
 class TestChromeTraceSink:
+    """The Chrome file ``obs.session(trace=...)`` writes from the span
+    record when the run ends (``report.chrome_doc``)."""
+
     def test_schema(self, tmp_path):
         path = tmp_path / "trace.json"
         trace_something(trace=path)
@@ -119,7 +128,7 @@ class TestChromeTraceSink:
             by_name.setdefault(e["name"], []).append(e)
         outer_ids = {e["id"] for e in by_name["outer"]}
         assert by_name["inner"][0]["parent"] in outer_ids
-        assert report.counters(events) == tracer.counters
+        assert report.aggregate(events)["counters"] == tracer.counters
 
 
 class TestRenderSummary:
@@ -168,4 +177,67 @@ class TestSession:
                     pass
         assert outer is not None
         assert not (tmp_path / "inner.jsonl").exists()
-        assert "work" in outer.span_totals()
+        assert "work" in outer.snapshot()["spans"]
+
+
+class TestOneRecord:
+    """Every view of a run derives from its one span record: the JSONL
+    ``end`` record, the Chrome file (read back), ``Tracer.snapshot()``,
+    the run-ledger record and the stitched ``end`` record agree on span
+    totals (bit for bit), call counts and counters."""
+
+    KEYS = ("spans", "span_counts", "counters")
+
+    def test_cli_session(self, tmp_path):
+        trace, jsonl, ledger = (
+            tmp_path / name for name in ("t.json", "r.jsonl", "L.jsonl")
+        )
+        circuit = read_blif((DATA / "c3_small.blif").read_text())
+        with obs.session(trace=trace, jsonl=jsonl, ledger=ledger) as tracer:
+            mc_retime(circuit)
+        end = obs.load_events(jsonl)[-1]
+        assert end["type"] == "end"
+        assert "engine.minperiod" in end["spans"] and end["counters"]
+        (record,) = obs.RunLedger(ledger).load()
+        views = {
+            "chrome": obs.load_events(trace)[-1],
+            "snapshot": tracer.snapshot(),
+            "ledger": record,
+            "stitched": stitch.stitch_events([jsonl])[-1],
+        }
+        for name, view in views.items():
+            for key in self.KEYS:
+                assert view[key] == end[key], (name, key)
+        assert obs.chrome_trace_errors(trace) == []
+
+    def test_served_request(self, tmp_path):
+        from repro.service import RetimeJob, RetimeService
+
+        trace_dir, ledger = tmp_path / "traces", tmp_path / "L.jsonl"
+        with RetimeService(
+            workers=1, job_timeout=120.0, trace_dir=trace_dir, ledger=ledger
+        ) as svc:
+            job_id = svc.submit(RetimeJob.from_file(DATA / "c3_small.blif"))
+            result = svc.wait(job_id, timeout=120.0)
+        assert result.ok, result.error
+        job16 = job_id[:16]
+        end = obs.load_events(trace_dir / f"{job16}.jsonl")[-1]
+        front = obs.load_events(trace_dir / f"{job16}.req.jsonl")[-1]
+        assert "job.execute" in end["spans"] and end["counters"]
+        (record,) = obs.RunLedger(ledger).load()
+        # the worker's own views
+        worker = {"snapshot": result.metrics["obs"], "ledger": record}
+        for name, view in worker.items():
+            for key in self.KEYS:
+                assert view[key] == end[key], (name, key)
+        # the merged views add the front-end's request spans
+        merged = {key: {**front[key], **end[key]} for key in self.KEYS}
+        stitched = stitch.stitch_dir(trace_dir)
+        stitch.write_chrome(stitched, tmp_path / "m.json")
+        views = {
+            "chrome": obs.load_events(tmp_path / "m.json")[-1],
+            "stitched": stitched[job16][-1],
+        }
+        for name, view in views.items():
+            for key in self.KEYS:
+                assert view[key] == merged[key], (name, key)

@@ -24,16 +24,16 @@ class TestTracerSpanCounts:
         with tracer.span("solve"):
             with tracer.span("solve.inner"):
                 pass
-        counts = tracer.span_counts()
+        counts = tracer.snapshot()["span_counts"]
         assert counts["solve"] == 4
         assert counts["solve.inner"] == 1
-        assert tracer.snapshot()["span_counts"] == counts
+        assert report.aggregate(tracer.events)["span_counts"] == counts
 
     def test_record_from_tracer_carries_counts(self):
         tracer = obs.Tracer()
         with tracer.span("retime"):
             pass
-        record = obs.record_from_tracer(tracer, "k")
+        record = obs.record_from_snapshot(tracer.snapshot(), "k")
         assert record["span_counts"] == {"retime": 1}
 
     def test_ledger_round_trip(self, tmp_path):
@@ -47,7 +47,8 @@ class TestTracerSpanCounts:
                 span_counts={"a": 7},
             )
         )
-        (record,) = ledger.load(strict=True)
+        (record,) = ledger.load()
+        assert ledger.skipped == 0
         assert record["span_counts"] == {"a": 7}
 
 

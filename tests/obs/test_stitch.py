@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro import obs
-from repro.obs import stitch
+from repro.obs import report, stitch
 
 
 def _span(name, sid, parent, ts, dur, pid, depth=0, **args):
@@ -159,12 +159,15 @@ class TestCrossProcessStructure:
 
     def test_parent_self_time_shrinks_after_adoption(self):
         events = stitch.stitch_events([_frontend_trace(), _worker_trace()])
-        dispatch = [
-            e for e in events
-            if e.get("type") == "span" and e["name"] == "request.dispatch"
-        ][0]
+        spans = [e for e in events if e.get("type") == "span"]
+        (dispatch, own), = [
+            (e, own)
+            for e, own in zip(spans, report.self_times(events))
+            if e["name"] == "request.dispatch"
+        ]
         # 0.9s dispatch window minus the three adopted worker spans
-        assert dispatch["self"] < dispatch["dur"]
+        assert own == pytest.approx(0.9 - 0.02 - 0.3 - 0.01)
+        assert own < dispatch["dur"]
 
     def test_merged_end_record_sums_counters(self):
         events = stitch.stitch_events([_frontend_trace(), _worker_trace()])

@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from repro import obs
+from repro.obs import report
 
 
 def span_events(tracer):
@@ -32,8 +33,9 @@ class TestSpanNesting:
                 pass
         obs.stop()
         inner, outer = span_events(t)
-        assert outer["self"] == pytest.approx(outer["dur"] - inner["dur"])
-        assert inner["self"] == inner["dur"]
+        inner_self, outer_self = report.self_times(t.events)
+        assert outer_self == pytest.approx(outer["dur"] - inner["dur"])
+        assert inner_self == inner["dur"]
 
     def test_span_args_and_set(self):
         t = obs.start()
@@ -142,7 +144,7 @@ class TestCounters:
         for v in (5, 1, 3):
             obs.gauge("g", v)
         obs.stop()
-        stat = t.gauges["g"]
+        stat = t.snapshot()["gauges"]["g"]
         assert stat == {"count": 3, "sum": 9.0, "min": 1, "max": 5, "last": 3}
 
 
@@ -171,7 +173,7 @@ class TestDisabledMode:
             pass
         obs.stop()
         assert isinstance(sp, obs.Span)
-        assert t.span_totals() == {"stage": sp.duration}
+        assert t.snapshot()["spans"] == {"stage": sp.duration}
 
 
 class TestSpanTotals:
@@ -187,7 +189,7 @@ class TestSpanTotals:
         expected = 0.0
         for d in durations:
             expected += d
-        assert t.span_totals()["phase"] == expected
+        assert t.snapshot()["spans"]["phase"] == expected
 
     def test_snapshot_is_json_safe(self):
         import json

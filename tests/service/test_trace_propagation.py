@@ -178,6 +178,77 @@ class TestShedPathTraced:
         )
         assert '# {run="' in line
 
+    def test_shed_submission_leaves_a_ledger_record(self, tmp_path):
+        ledger = tmp_path / "ledger.jsonl"
+        svc = RetimeService(
+            workers=1, job_timeout=5.0, max_retries=0,
+            max_pending=0, ledger=ledger,
+        )
+        try:
+            with pytest.raises(ServiceOverloadedError):
+                svc.submit(_job())
+        finally:
+            svc.close()
+        (record,) = obs.RunLedger(ledger).load()
+        assert record["kind"] == "service.job"
+        assert record["status"] == "shed"
+        assert record["fingerprint"] == _job().canonical_key
+
+
+class TestServiceLedger:
+    """One ``service.job`` record per finished job, carrying the job's
+    aggregate maps and its status."""
+
+    @pytest.fixture(scope="class")
+    def ledgered(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("ledgered")
+        svc = RetimeService(
+            workers=1, job_timeout=120.0, max_retries=0,
+            ledger=out / "ledger.jsonl",
+        )
+        try:
+            good = svc.submit(_job("c3_small"))
+            crash = svc.submit(_job("c2_small", flow="__crash__"))
+            results = {
+                good: svc.wait(good, timeout=120.0),
+                crash: svc.wait(crash, timeout=120.0),
+            }
+        finally:
+            svc.close()
+        assert [r.ok for r in results.values()] == [True, False]
+        (out / "slo.json").write_text(json.dumps({"error_rate": 0.01}))
+        return out, results
+
+    def test_record_carries_the_snapshot_span_counts(self, ledgered):
+        out, results = ledgered
+        good, result = next(iter(results.items()))
+        (record,) = [
+            r for r in obs.RunLedger(out / "ledger.jsonl").load()
+            if r["run_id"] == good[:16]
+        ]
+        snapshot = result.metrics["obs"]
+        assert record["span_counts"] == snapshot["span_counts"]
+        assert record["span_counts"]["job.execute"] == 1
+        assert record["spans"] == snapshot["spans"]
+
+    def test_failed_job_fails_the_offline_slo_gate(self, ledgered, capsys):
+        out, results = ledgered
+        check = [
+            "slo", "check",
+            "--ledger", str(out / "ledger.jsonl"),
+            "--config", str(out / "slo.json"),
+        ]
+        assert cli_main(check) == 1
+        assert "FAIL error_rate" in capsys.readouterr().out
+        statuses = {
+            r["run_id"]: r["status"]
+            for r in obs.RunLedger(out / "ledger.jsonl").load()
+        }
+        assert statuses == {
+            job_id[:16]: "done" if result.ok else "failed"
+            for job_id, result in results.items()
+        }
+
 
 class TestExemplars:
     def test_counter_exemplar_renders_openmetrics_style(self):
@@ -276,6 +347,17 @@ class TestServedRunCommands:
         assert "SUM" in out
         assert cli_main(["report", str(merged), "--validate"]) == 0
         assert capsys.readouterr().out == f"{merged}: OK\n"
+        # the merged file's aggregate sums the requests' own records
+        end = obs.load_events(merged)[-1]
+        counts, counters = {}, {}
+        for path in sorted((served / "traces").glob("*.jsonl")):
+            own = obs.load_events(path)[-1]
+            for name, n in own["span_counts"].items():
+                counts[name] = counts.get(name, 0) + n
+            for name, value in own["counters"].items():
+                counters[name] = counters.get(name, 0) + value
+        assert end["span_counts"] == counts
+        assert end["counters"] == counters
 
     def test_slo_check_gates_the_ledger(self, served, capsys):
         check = [

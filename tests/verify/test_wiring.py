@@ -117,7 +117,14 @@ def test_cli_map_verify_on_table2_row(capsys):
     rc = cli.main([str(DATA / "c3_small.blif"), "--map", "--verify"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "refinement holds" in out
+    # one verdict per checked leg, each naming its leg
+    verdicts = [
+        line for line in out.splitlines() if line.startswith("verified:")
+    ]
+    assert len(verdicts) == 2
+    assert verdicts[0].startswith("verified: mapping leg (input -> mapped): ")
+    assert verdicts[1].startswith("verified: retiming leg (mapped -> final): ")
+    assert all(line.endswith("refinement holds") for line in verdicts)
 
 
 def test_cli_verify_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
