@@ -136,60 +136,16 @@ def parallel_tables(
                 f"{result.error.type}: {result.error.message}"
             )
 
-    t1_rows, t2_rows = [], []
-    for name, result in zip(names, results):
-        base = result.metrics["baseline"]
-        final = result.metrics["final"]
-        rt = result.metrics["retime"]
-        t1_rows.append(
-            table1.Table1Row(
-                name=name,
-                has_async=base["has_async"],
-                has_enable=base["has_enable"],
-                n_ff=base["n_ff"],
-                n_lut=base["n_lut"],
-                delay=base["delay"],
-            )
-        )
-        t2_rows.append(
-            table2.Table2Row(
-                name=name,
-                n_classes=rt["n_classes"],
-                steps_moved=rt["steps_moved"],
-                steps_possible=rt["steps_possible"],
-                n_ff=final["n_ff"],
-                n_lut=final["n_lut"],
-                delay=final["delay"],
-                rlut=final["n_lut"] / max(base["n_lut"], 1),
-                rdelay=final["delay"] / max(base["delay"], 1e-9),
-                local_fraction=rt["local_fraction"],
-                basic_fraction=rt["basic_fraction"],
-                relocate_fraction=rt["relocate_fraction"],
-                overhead_fraction=rt["overhead_fraction"],
-                cpu_seconds=rt["cpu_seconds"],
-            )
-        )
-
+    retimed = [result.metrics for result in results[: len(names)]]
+    t1_rows = [table1.row(n, m) for n, m in zip(names, retimed)]
+    t2_rows = [table2.row(n, m) for n, m in zip(names, retimed)]
     t3_rows = None
     if want_t3:
-        t3_rows = []
-        by_name1 = {r.name: r for r in t1_rows}
-        by_name2 = {r.name: r for r in t2_rows}
-        for name, result in zip(names, results[len(names):]):
-            final = result.metrics["final"]
-            t1_row, t2_row = by_name1[name], by_name2[name]
-            t3_rows.append(
-                table3.Table3Row(
-                    name=name,
-                    n_ff=final["n_ff"],
-                    n_lut=final["n_lut"],
-                    delay=final["delay"],
-                    rlut1=final["n_lut"] / max(t1_row.n_lut, 1),
-                    rdelay1=final["delay"] / max(t1_row.delay, 1e-9),
-                    rlut2=final["n_lut"] / max(t2_row.n_lut, 1),
-                    rdelay2=final["delay"] / max(t2_row.delay, 1e-9),
-                )
-            )
+        decomposed = [result.metrics for result in results[len(names):]]
+        t3_rows = [
+            table3.row(*row)
+            for row in zip(names, decomposed, t1_rows, t2_rows)
+        ]
     return t1_rows, t2_rows, t3_rows
 
 

@@ -36,19 +36,24 @@ class Table1Row:
         }
 
 
+def row(name: str, metrics: dict) -> Table1Row:
+    """One design's row from its flow metrics (:meth:`FlowResult.metrics`
+    or a served job's): the mapped design every table retimes from."""
+    base = metrics["baseline"]
+    return Table1Row(
+        name=name,
+        has_async=base["has_async"],
+        has_enable=base["has_enable"],
+        n_ff=base["n_ff"],
+        n_lut=base["n_lut"],
+        delay=base["delay"],
+    )
+
+
 def run_design(name: str, scale: float = 1.0) -> tuple[Table1Row, FlowResult]:
     """Baseline flow for one design; returns the row and the artifacts."""
-    design = build_design(name, scale)
-    flow = baseline_flow(design.circuit, XC4000E_DELAY)
-    row = Table1Row(
-        name=name,
-        has_async=flow.has_async,
-        has_enable=flow.has_enable,
-        n_ff=flow.n_ff,
-        n_lut=flow.n_lut,
-        delay=flow.delay,
-    )
-    return row, flow
+    flow = baseline_flow(build_design(name, scale).circuit, XC4000E_DELAY)
+    return row(name, flow.metrics()), flow
 
 
 def run(

@@ -49,37 +49,33 @@ class Table2Row:
         }
 
 
-def run_design(
-    name: str, baseline: tuple[table1.Table1Row, FlowResult], scale: float = 1.0
-) -> Table2Row:
-    """Retime one already-mapped design and build its Table 2 row."""
-    t1_row, base_flow = baseline
-    flow = retime_flow(
-        base_flow.circuit, XC4000E_DELAY, mapped=_as_mapped(base_flow)
-    )
-    result = flow.retime
-    fractions = result.timing_fractions()
+def row(name: str, metrics: dict) -> Table2Row:
+    """One design's row from its retime flow metrics
+    (:meth:`FlowResult.metrics` or a served ``retime`` job's)."""
+    base, final = metrics["baseline"], metrics["final"]
+    result = metrics["retime"]
     return Table2Row(
         name=name,
-        n_classes=result.n_classes,
-        steps_moved=result.steps_moved,
-        steps_possible=result.steps_possible,
-        n_ff=flow.n_ff,
-        n_lut=flow.n_lut,
-        delay=flow.delay,
-        rlut=flow.n_lut / max(t1_row.n_lut, 1),
-        rdelay=flow.delay / max(t1_row.delay, 1e-9),
-        local_fraction=result.stats.local_fraction,
-        basic_fraction=fractions["basic_retiming"],
-        relocate_fraction=fractions["relocation"],
-        overhead_fraction=fractions["mc_overhead"],
-        cpu_seconds=sum(result.timings.values()),
+        n_classes=result["n_classes"],
+        steps_moved=result["steps_moved"],
+        steps_possible=result["steps_possible"],
+        n_ff=final["n_ff"],
+        n_lut=final["n_lut"],
+        delay=final["delay"],
+        rlut=final["n_lut"] / max(base["n_lut"], 1),
+        rdelay=final["delay"] / max(base["delay"], 1e-9),
+        local_fraction=result["local_fraction"],
+        basic_fraction=result["basic_fraction"],
+        relocate_fraction=result["relocate_fraction"],
+        overhead_fraction=result["overhead_fraction"],
+        cpu_seconds=result["cpu_seconds"],
     )
 
 
-def _as_mapped(flow: FlowResult) -> FlowResult:
-    """Reuse a Table-1 flow result as the mapped starting point."""
-    return flow
+def run_design(name: str, base: FlowResult) -> Table2Row:
+    """Retime one already-mapped design and build its Table 2 row."""
+    flow = retime_flow(base.circuit, XC4000E_DELAY, mapped=base)
+    return row(name, flow.metrics())
 
 
 def run(
@@ -89,27 +85,13 @@ def run(
 ) -> tuple[list[Table2Row], dict[str, FlowResult]]:
     """Regenerate Table 2 (and Table 1 internally if not provided)."""
     if baselines is None:
-        t1_rows, flows = table1.run(scale, names)
-    else:
-        flows = baselines
-        t1_rows = [
-            table1.Table1Row(
-                name=n,
-                has_async=f.has_async,
-                has_enable=f.has_enable,
-                n_ff=f.n_ff,
-                n_lut=f.n_lut,
-                delay=f.delay,
-            )
-            for n, f in baselines.items()
-            if names is None or n in names
-        ]
-    rows = []
-    for t1_row in t1_rows:
-        rows.append(
-            run_design(t1_row.name, (t1_row, flows[t1_row.name]), scale)
-        )
-    return rows, flows
+        _, baselines = table1.run(scale, names)
+    rows = [
+        run_design(name, flow)
+        for name, flow in baselines.items()
+        if names is None or name in names
+    ]
+    return rows, baselines
 
 
 def totals(rows: list[Table2Row]) -> dict[str, object]:

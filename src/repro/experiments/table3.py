@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..flows import FlowResult, decomposed_enable_flow
+from ..flows import decomposed_enable_flow
 from ..synth import build_design
 from ..timing import XC4000E_DELAY
 from . import table1, table2
@@ -48,6 +48,27 @@ class Table3Row:
         }
 
 
+def row(
+    name: str,
+    metrics: dict,
+    t1_row: table1.Table1Row,
+    t2_row: table2.Table2Row,
+) -> Table3Row:
+    """One design's row from its ``decomposed_enable`` flow metrics
+    (:meth:`FlowResult.metrics` or a served job's)."""
+    final = metrics["final"]
+    return Table3Row(
+        name=name,
+        n_ff=final["n_ff"],
+        n_lut=final["n_lut"],
+        delay=final["delay"],
+        rlut1=final["n_lut"] / max(t1_row.n_lut, 1),
+        rdelay1=final["delay"] / max(t1_row.delay, 1e-9),
+        rlut2=final["n_lut"] / max(t2_row.n_lut, 1),
+        rdelay2=final["delay"] / max(t2_row.delay, 1e-9),
+    )
+
+
 def run_design(
     name: str,
     t1_row: table1.Table1Row,
@@ -57,16 +78,7 @@ def run_design(
     """EN-decomposed retime flow for one design."""
     design = build_design(name, scale)
     flow = decomposed_enable_flow(design.circuit, XC4000E_DELAY)
-    return Table3Row(
-        name=name,
-        n_ff=flow.n_ff,
-        n_lut=flow.n_lut,
-        delay=flow.delay,
-        rlut1=flow.n_lut / max(t1_row.n_lut, 1),
-        rdelay1=flow.delay / max(t1_row.delay, 1e-9),
-        rlut2=flow.n_lut / max(t2_row.n_lut, 1),
-        rdelay2=flow.delay / max(t2_row.delay, 1e-9),
-    )
+    return row(name, flow.metrics(), t1_row, t2_row)
 
 
 def run(
@@ -79,23 +91,14 @@ def run(
     if t1_rows is None or t2_rows is None:
         t2_rows, flows = table2.run(scale, names)
         t1_rows = [
-            table1.Table1Row(
-                name=n,
-                has_async=f.has_async,
-                has_enable=f.has_enable,
-                n_ff=f.n_ff,
-                n_lut=f.n_lut,
-                delay=f.delay,
-            )
-            for n, f in flows.items()
-            if names is None or n in names
+            table1.row(name, flow.metrics())
+            for name, flow in flows.items()
+            if names is None or name in names
         ]
     by_name1 = {r.name: r for r in t1_rows}
-    by_name2 = {r.name: r for r in t2_rows}
-    rows = []
-    for name in by_name2:
-        rows.append(run_design(name, by_name1[name], by_name2[name], scale))
-    return rows
+    return [
+        run_design(r.name, by_name1[r.name], r, scale) for r in t2_rows
+    ]
 
 
 def totals(rows: list[Table3Row]) -> dict[str, object]:

@@ -5,9 +5,9 @@ from .script import (
     baseline_flow,
     cslow_flow,
     decomposed_enable_flow,
-    eco_flow,
     pipeline_flow,
     retime_flow,
+    run_flow,
 )
 
 __all__ = [
@@ -15,7 +15,7 @@ __all__ = [
     "baseline_flow",
     "cslow_flow",
     "decomposed_enable_flow",
-    "eco_flow",
     "pipeline_flow",
     "retime_flow",
+    "run_flow",
 ]

@@ -222,7 +222,8 @@ def session(
     appends one schema-validated run record to the given JSONL ledger
     (fingerprint/config/the record's aggregate maps/result metrics —
     see :mod:`repro.obs.ledger`); attach result metrics from inside the
-    block with :func:`annotate`.
+    block with :func:`annotate`.  The record's ``status`` is ``failed``
+    when the block raised and ``done`` otherwise.
     """
     if current() is not None:
         yield None
@@ -232,8 +233,10 @@ def session(
     profiler = (
         SamplingProfiler(interval=profile_interval).start() if profile else None
     )
+    status = "failed"
     try:
         yield tracer
+        status = "done"
     finally:
         if profiler is not None:
             profiler.stop().write(profile)
@@ -248,6 +251,7 @@ def session(
                     fingerprint=fingerprint,
                     config=dict(tracer.meta),
                     metrics=dict(tracer.results),
+                    status=status,
                 )
             )
         if summary:

@@ -13,7 +13,8 @@ so performance accumulates a *trajectory* of runs.  A record carries:
   run's :func:`~repro.obs.report.aggregate` maps, as in
   ``Tracer.snapshot()`` (:func:`record_from_snapshot`);
 * ``metrics`` — result numbers (period, register count, LUT area, …);
-* ``status`` — service records only: ``done``, ``failed`` or ``shed``;
+* ``status`` — ``done``, ``failed`` (the run raised) or, service
+  only, ``shed``;
 * ``env`` — python version, platform, git sha.
 
 The file format is append-only JSONL: crash-safe (valid up to the last

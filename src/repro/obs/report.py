@@ -31,6 +31,8 @@ the tests use: :func:`trace_errors`, :func:`validate_jsonl` and
 
 from __future__ import annotations
 
+import collections
+import itertools
 import json
 from pathlib import Path
 from typing import Any
@@ -92,32 +94,45 @@ def load_events(path: str | Path) -> list[dict[str, Any]]:
 
 def _events_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
     events: list[dict[str, Any]] = [{"type": "meta"}]
-    next_id = 0
-    # Chrome X events carry no parent links; reconstruct nesting from
-    # containment per (pid, tid), processing in start order
     spans = [e for e in doc.get("traceEvents", []) if e.get("ph") == "X"]
-    spans.sort(key=lambda e: (e.get("pid", 0), e.get("tid", 0), e["ts"], -e["dur"]))
-    open_stack: dict[tuple, list[tuple[float, int]]] = {}
-    for ev in spans:
-        key = (ev.get("pid", 0), ev.get("tid", 0))
-        stack = open_stack.setdefault(key, [])
-        start, end = ev["ts"], ev["ts"] + ev["dur"]
-        while stack and stack[-1][0] <= start:
-            stack.pop()
-        next_id += 1
-        parent = stack[-1][1] if stack else 0
+    if all("span:id" in e.get("args", {}) for e in spans):
+        # chrome_doc's parent links: exact, whatever the spans' overlap
+        nodes = [
+            (e, e["args"]["span:id"], e["args"]["span:parent"]) for e in spans
+        ]
+    else:
+        # Chrome X events from elsewhere carry no parent links;
+        # reconstruct nesting from containment per (pid, tid),
+        # processing in start order
+        def track(e):
+            return e.get("pid", 0), e.get("tid", 0)
+
+        spans.sort(key=lambda e: (*track(e), e["ts"], -e["dur"]))
+        nodes = []
+        open_stack: dict[tuple, list[tuple[float, int]]] = {}
+        for span_id, ev in enumerate(spans, 1):
+            stack = open_stack.setdefault(track(ev), [])
+            while stack and stack[-1][0] <= ev["ts"]:
+                stack.pop()
+            nodes.append((ev, span_id, stack[-1][1] if stack else 0))
+            stack.append((ev["ts"] + ev["dur"], span_id))
+    parent_of = {span_id: parent for _, span_id, parent in nodes}
+    for ev, span_id, parent in nodes:
+        depth, up = 0, parent
+        while up:
+            depth, up = depth + 1, parent_of.get(up, 0)
         args = {
             k: v
             for k, v in ev.get("args", {}).items()
-            if not k.startswith("counter:")
+            if not k.startswith(("counter:", "span:"))
         }
         out = {
             "type": "span",
             "name": ev["name"],
-            "id": next_id,
+            "id": span_id,
             "parent": parent,
-            "depth": len(stack),
-            "ts": start / 1e6,
+            "depth": depth,
+            "ts": ev["ts"] / 1e6,
             "dur": ev["dur"] / 1e6,
             "pid": ev.get("pid", 0),
             "tid": ev.get("tid", 0),
@@ -125,7 +140,6 @@ def _events_from_chrome(doc: dict[str, Any]) -> list[dict[str, Any]]:
         if args:
             out["args"] = args
         events.append(out)
-        stack.append((end, next_id))
     other = doc.get("otherData", {})
     events.append(
         {
@@ -293,50 +307,62 @@ def chrome_doc(events: list[dict[str, Any]]) -> dict[str, Any]:
     """The Chrome ``trace_event`` document of a span record.
 
     Spans become complete (``"ph": "X"``) events with microsecond
-    timestamps (span args plus ``counter:NAME`` attributions), counters
-    become ``"ph": "C"`` counter tracks, and each pid gets a process
-    track named by its latest meta record (``role (pid)``).
-    ``otherData`` carries the trace id (empty when the meta records
-    name several) and the :func:`aggregate` maps, which
-    :func:`load_events` restores as the ``end`` record.
+    timestamps (span args plus ``counter:NAME`` attributions, and the
+    span's own and parent's id, unique over the document, as
+    ``span:id`` / ``span:parent``), counters become ``"ph": "C"``
+    counter tracks, and each pid gets a process track named by its
+    latest meta record (``role (pid)``).  ``otherData`` carries the
+    trace id (empty when the meta records name several) and the
+    :func:`aggregate` maps, which :func:`load_events` restores as the
+    ``end`` record.  The parent links let :func:`load_events` rebuild
+    the span tree exactly: spans of one thread may overlap without
+    nesting (several requests in one stitched file, or one request's
+    admit and queue spans).
     """
     names: dict[Any, str] = {}
     trace_events: list[dict[str, Any]] = []
     trace_ids: set[str] = set()
-    for event in events:
-        kind = event.get("type")
-        pid = event.get("pid", 0)
-        if kind == "meta":
-            trace_ids.add(str(event.get("trace_id", "")))
-            if "pid" in event:
-                names[pid] = f"{event.get('role', 'mcretime')} ({pid})"
-        elif kind == "span":
-            args = dict(event.get("args", {}))
-            for name, value in event.get("counters", {}).items():
-                args[f"counter:{name}"] = value
-            out = {
-                "name": event["name"],
-                "cat": event["name"].split(".", 1)[0],
-                "ph": "X",
-                "ts": event["ts"] * 1e6,
-                "dur": event["dur"] * 1e6,
-                "pid": pid,
-                "tid": event.get("tid", 0),
-            }
-            if args:
-                out["args"] = args
-            trace_events.append(out)
-        elif kind == "counter":
-            trace_events.append(
-                {
-                    "name": event["name"],
-                    "ph": "C",
-                    "ts": event["ts"] * 1e6,
-                    "pid": pid,
-                    "tid": 0,
-                    "args": {"value": event["value"]},
-                }
-            )
+    doc_ids = itertools.count(1)
+    for run in _runs(events):
+        # a run's span ids are its own: number them over the document
+        ids: dict[int, int] = collections.defaultdict(doc_ids.__next__)
+        ids[0] = 0
+        for event in run:
+            kind = event.get("type")
+            pid = event.get("pid", 0)
+            if kind == "meta":
+                trace_ids.add(str(event.get("trace_id", "")))
+                if "pid" in event:
+                    names[pid] = f"{event.get('role', 'mcretime')} ({pid})"
+            elif kind == "span":
+                args = dict(event.get("args", {}))
+                for name, value in event.get("counters", {}).items():
+                    args[f"counter:{name}"] = value
+                args["span:id"] = ids[event["id"]]
+                args["span:parent"] = ids[event.get("parent", 0)]
+                trace_events.append(
+                    {
+                        "name": event["name"],
+                        "cat": event["name"].split(".", 1)[0],
+                        "ph": "X",
+                        "ts": event["ts"] * 1e6,
+                        "dur": event["dur"] * 1e6,
+                        "pid": pid,
+                        "tid": event.get("tid", 0),
+                        "args": args,
+                    }
+                )
+            elif kind == "counter":
+                trace_events.append(
+                    {
+                        "name": event["name"],
+                        "ph": "C",
+                        "ts": event["ts"] * 1e6,
+                        "pid": pid,
+                        "tid": 0,
+                        "args": {"value": event["value"]},
+                    }
+                )
     metadata = [
         {
             "name": "process_name",

@@ -3,8 +3,8 @@
 ``mcretime obs diff`` and ``mcretime obs check`` compare
 :mod:`repro.obs.ledger` records with **noise-robust** statistics:
 
-* only finished runs compare: a service record whose ``status`` is
-  ``failed`` or ``shed`` carries no timings, so it is dropped before
+* only finished runs compare: a record whose ``status`` is ``failed``
+  or ``shed`` carries partial or no timings, so it is dropped before
   it can shrink a median-of-k window;
 * records are grouped by ``(kind, fingerprint)`` and, within a group,
   per-span medians are taken over the newest *k* records

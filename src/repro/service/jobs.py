@@ -9,11 +9,11 @@ the execution options.  Two submissions that differ only in whitespace,
 comment placement, or source format hash to the same key, so the result
 cache deduplicates them.
 
-:func:`execute_job` is the single worker entry point: it runs the
-requested flow and returns a :class:`JobResult` whose ``metrics`` dict
-carries every number the paper tables need (so the experiment runners
-can rebuild their rows from job results without shipping circuits
-across process boundaries).
+:func:`execute_job` is the single worker entry point: it runs the job
+through :func:`repro.flows.run_flow` and returns a :class:`JobResult`
+whose ``metrics`` dict (:meth:`repro.flows.FlowResult.metrics`) carries
+every number the paper tables need (the experiment runners build their
+rows from it without shipping circuits across process boundaries).
 """
 
 from __future__ import annotations
@@ -28,38 +28,24 @@ from functools import cached_property
 from pathlib import Path
 
 from .. import obs
-from ..flows import (
-    FlowResult,
-    baseline_flow,
-    cslow_flow,
-    decomposed_enable_flow,
-    pipeline_flow,
-    retime_flow,
-)
+from ..flows import FlowResult, run_flow
+from ..flows.script import FLOWS, TRANSFORMS, measure
 from ..lru import LRU
-from ..mcretime import MCRetimeResult, mc_retime
-from ..pipeline import cslow_retime, pipeline_retime
 from ..netlist import (
     Circuit,
     check_circuit,
-    circuit_stats,
     read_blif,
     read_verilog,
     write_blif,
     write_verilog,
 )
-from ..timing import UNIT_DELAY, XC4000E_DELAY, analyze
-from ..verify import (
-    VerificationError,
-    check_cslow,
-    check_pipeline,
-    check_sequential,
-)
+from ..timing import UNIT_DELAY, XC4000E_DELAY
 
-#: Flows a job may request.  ``mcretime`` retimes the netlist as-is
-#: (the plain ``mcretime file.blif`` CLI behaviour); the other three are
-#: the paper's Table 1/2/3 synthesis scripts from :mod:`repro.flows`.
-JOB_FLOWS = ("mcretime", "baseline", "retime", "decomposed_enable")
+#: Flows a job may request (:func:`repro.flows.run_flow`).  ``mcretime``
+#: retimes the netlist as-is (the plain ``mcretime file.blif`` CLI
+#: behaviour); the other three are the paper's Table 1/2/3 synthesis
+#: scripts.
+JOB_FLOWS = FLOWS
 
 #: Fault-injection flows used by the integration tests and ops drills:
 #: ``__crash__`` hard-kills the worker process mid-job, ``__hang__``
@@ -73,9 +59,9 @@ _FORMATS = ("blif", "verilog")
 #: Throughput transforms a job may request (``docs/PIPELINE.md``).
 #: ``pipeline`` inserts ``stages`` output register layers before
 #: retiming; ``cslow`` replicates every register ``factor`` times.
-#: Transforms compose with the ``mcretime`` (engine-level) and
-#: ``retime`` (mapped XC4000E) flows only.
-JOB_TRANSFORMS = ("pipeline", "cslow")
+#: Transforms compose with the ``mcretime`` (unmapped) and ``retime``
+#: (mapped XC4000E) flows only.
+JOB_TRANSFORMS = TRANSFORMS
 
 
 def _parse(netlist: str, fmt: str, name: str) -> Circuit:
@@ -122,8 +108,8 @@ class RetimeJob:
     delay_model: str | None = None
     target_period: float | None = None
     semantic_classes: bool = True
-    #: sequentially verify the output against the input after the flow
-    #: (coverage-directed bit-parallel refinement check); a mismatch
+    #: refinement-check every leg the flow ran (input -> mapped design
+    #: -> output for the mapped flows, see ``run_flow``); a mismatch
     #: fails the job with a non-retryable ``VerificationError``
     verify: bool = False
     verify_cycles: int = 64
@@ -388,103 +374,6 @@ class JobRecord:
         }
 
 
-#: worker-local ECO states, keyed by (base fingerprint, delay model,
-#: semantic classes) — one per base design the worker has seen.  The
-#: shard ring routes every job for one base to the same worker, so
-#: repeated edits of one base find its prefix and solve cache here.
-_ECO_STATES: "LRU[tuple, object]" = LRU(4)
-
-
-def _eco_state(job: RetimeJob, model):
-    """Get or build the worker's :class:`repro.eco.EcoState` for the
-    job's base design; returns ``None`` when the base text is absent or
-    unparsable (the caller then runs the plain cold path)."""
-    from ..eco import EcoState
-
-    if job.base_key is None or job.base_netlist is None:
-        return None
-    key = (job.base_key, job.resolved_delay_model(), job.semantic_classes)
-    state = _ECO_STATES.get(key)
-    if state is not None:
-        return state
-    try:
-        base = read_blif(job.base_netlist, name_hint=job.name)
-        check_circuit(base)
-    except Exception:  # noqa: BLE001 - degrade to cold, never fail the job
-        obs.count("eco.base_parse_error")
-        return None
-    state = EcoState(
-        base, delay_model=model, semantic_classes=job.semantic_classes
-    )
-    _ECO_STATES.put(key, state)
-    return state
-
-
-def _measure(circuit: Circuit, model) -> dict[str, object]:
-    stats = circuit_stats(circuit)
-    return {
-        "n_ff": stats.n_ff,
-        "n_lut": stats.n_lut,
-        "n_gates": len(circuit.gates),
-        "delay": analyze(circuit, model).max_delay,
-        "has_async": stats.has_async,
-        "has_enable": stats.has_enable,
-    }
-
-
-def _retime_metrics(result: MCRetimeResult) -> dict[str, object]:
-    fractions = result.timing_fractions()
-    return {
-        "n_classes": result.n_classes,
-        "steps_moved": result.steps_moved,
-        "steps_possible": result.steps_possible,
-        "period_before": result.period_before,
-        "period_after": result.period_after,
-        "ff_before": result.ff_before,
-        "ff_after": result.ff_after,
-        "resolve_attempts": result.resolve_attempts,
-        "local_steps": result.stats.local_steps,
-        "global_steps": result.stats.global_steps,
-        "forward_steps": result.stats.forward_steps,
-        "local_fraction": result.stats.local_fraction,
-        "basic_fraction": fractions["basic_retiming"],
-        "relocate_fraction": fractions["relocation"],
-        "overhead_fraction": fractions["mc_overhead"],
-        "cpu_seconds": sum(result.timings.values()),
-    }
-
-
-def _flow_metrics(flow: FlowResult) -> dict[str, object]:
-    metrics: dict[str, object] = {
-        "final": {
-            "n_ff": flow.n_ff,
-            "n_lut": flow.n_lut,
-            "delay": flow.delay,
-            "has_async": flow.has_async,
-            "has_enable": flow.has_enable,
-            "accepted": flow.accepted,
-        },
-        "timings": dict(flow.timings),
-    }
-    if flow.retime is not None:
-        metrics["retime"] = _retime_metrics(flow.retime)
-    if flow.explain is not None:
-        metrics["explain"] = _explain_metrics(flow.explain)
-    return metrics
-
-
-def _explain_metrics(explanation: dict) -> dict[str, object]:
-    """Package an explanation for ``JobResult.metrics["explain"]``:
-    the full certificate payload plus the flat summary the run ledger
-    and the service counters consume."""
-    from ..obs.explain import summary_metrics
-
-    return {
-        "summary": summary_metrics(explanation),
-        "explanation": explanation,
-    }
-
-
 def execute_job(
     job: RetimeJob,
     *,
@@ -515,19 +404,55 @@ def execute_job(
     key = job_id or job.canonical_key
     t0 = time.perf_counter()
     with obs.job_trace(key) as tracer:
-        metrics = _run_flow(job, key, circuit=circuit)
+        with obs.span("job.execute", flow=job.flow, job=key[:16]):
+            if circuit is None:
+                circuit = _parse(job.netlist, job.fmt, job.name)
+            check_circuit(circuit)
+            model = _DELAY_MODELS[job.resolved_delay_model()]
+            flow = run_flow(
+                circuit,
+                job.flow,
+                objective=job.objective,
+                delay_model=model,
+                target_period=job.target_period,
+                semantic_classes=job.semantic_classes,
+                verify=job.verify,
+                verify_cycles=job.verify_cycles,
+                explain=job.explain,
+                transform=job.transform,
+                stages=job.stages,
+                factor=job.factor,
+                base_key=job.base_key,
+                base_netlist=job.base_netlist,
+            )
+            check_circuit(flow.circuit)
+            metrics = _metrics(job, circuit, flow)
         if tracer is not None:
             metrics["obs"] = tracer.snapshot()
-    out_circuit = metrics.pop("_circuit")
     out_fmt = job.resolved_output_fmt()
     return JobResult(
         job_id=key,
         status="done",
-        output=_emit(out_circuit, out_fmt),
+        output=_emit(flow.circuit, out_fmt),
         output_fmt=out_fmt,
         metrics=metrics,
         elapsed=time.perf_counter() - t0,
     )
+
+
+def _metrics(job: RetimeJob, circuit: Circuit, flow: FlowResult) -> dict:
+    """The served ``metrics`` of *job*, run on *circuit* as *flow*.
+
+    :meth:`FlowResult.metrics`, except that a transform on the mapped
+    flow reports the submitted netlist, not the mapped one, as its
+    ``baseline``: clients read the mapped design's period as the
+    transform's ``period_before``.
+    """
+    metrics = flow.metrics()
+    if job.transform is not None and job.flow != "mcretime":
+        model = _DELAY_MODELS[job.resolved_delay_model()]
+        metrics["baseline"] = measure(circuit, model).summary()
+    return metrics
 
 
 def run_payload(
@@ -571,198 +496,3 @@ def run_payload(
         if tracer is not None:
             data["metrics"]["obs"] = tracer.snapshot()
     return data
-
-
-def _run_flow(job: RetimeJob, key: str, circuit: Circuit | None = None) -> dict:
-    """Execute the job's flow; returns its metrics dict (the output
-    circuit rides along under the ``_circuit`` key)."""
-    with obs.span("job.execute", flow=job.flow, job=key[:16]):
-        if circuit is None:
-            circuit = _parse(job.netlist, job.fmt, job.name)
-        check_circuit(circuit)
-        model = _DELAY_MODELS[job.resolved_delay_model()]
-        metrics = _dispatch_flow(job, circuit, model)
-        if job.verify:
-            _verify_output(job, circuit, metrics)
-    return metrics
-
-
-def _verify_output(job: RetimeJob, circuit: Circuit, metrics: dict) -> None:
-    """Check the job's output against its input.
-
-    Plain jobs run the sequential refinement check; transform jobs run
-    the matching transform checker (latency-shifted for ``pipeline``,
-    thread-interleaving for ``cslow``).  The verdict rides along in
-    ``metrics["verify"]``; a failed check raises
-    :class:`~repro.verify.VerificationError`, which the pool treats as
-    a deterministic error (no retry — the checkers are deterministic in
-    their seed, so re-running cannot pass).
-    """
-    t0 = time.perf_counter()
-    with obs.span(
-        "verify.check", cycles=job.verify_cycles, transform=job.transform
-    ):
-        if job.transform == "pipeline":
-            check = check_pipeline(
-                circuit, metrics["_circuit"], shift=job.stages,
-                cycles=job.verify_cycles,
-            )
-        elif job.transform == "cslow":
-            check = check_cslow(
-                circuit, metrics["_circuit"], job.factor,
-                cycles=job.verify_cycles,
-            )
-        else:
-            check = check_sequential(
-                circuit, metrics["_circuit"], cycles=job.verify_cycles
-            )
-    metrics["verify"] = {
-        "equivalent": check.equivalent,
-        "cycles": check.cycles,
-        "lanes": check.lanes,
-        "seconds": time.perf_counter() - t0,
-    }
-    if not check.equivalent:
-        raise VerificationError(check)
-
-
-def _dispatch_transform(job: RetimeJob, circuit: Circuit, model) -> dict:
-    """Run a pipeline/cslow job (engine-level or mapped flow)."""
-    if job.flow == "mcretime":
-        if job.transform == "pipeline":
-            result = pipeline_retime(
-                circuit,
-                job.stages,
-                model,
-                objective=job.objective,
-                target_period=job.target_period,
-                semantic_classes=job.semantic_classes,
-                explain=job.explain,
-            )
-        else:
-            result = cslow_retime(
-                circuit,
-                job.factor,
-                model,
-                objective=job.objective,
-                target_period=job.target_period,
-                semantic_classes=job.semantic_classes,
-                explain=job.explain,
-            )
-        out_circuit = result.circuit
-        check_circuit(out_circuit)
-        metrics = {
-            "baseline": _measure(circuit, model),
-            "final": {**_measure(out_circuit, model), "accepted": True},
-            "retime": _retime_metrics(result.retime),
-            "transform": result.report(),
-            "timings": dict(result.timings),
-        }
-        if result.retime.explanation is not None:
-            metrics["explain"] = _explain_metrics(result.retime.explanation)
-    else:  # flow == "retime": the mapped XC4000E flow
-        flow_fn = pipeline_flow if job.transform == "pipeline" else cslow_flow
-        amount = job.stages if job.transform == "pipeline" else job.factor
-        flow = flow_fn(
-            circuit,
-            amount,
-            model,
-            objective=job.objective,
-            target_period=job.target_period,
-            semantic_classes=job.semantic_classes,
-            explain=job.explain,
-        )
-        out_circuit = flow.circuit
-        metrics = _flow_metrics(flow)
-        metrics["baseline"] = _measure(circuit, model)
-        metrics["transform"] = flow.transform
-    metrics["_circuit"] = out_circuit
-    return metrics
-
-
-def _dispatch_flow(job: RetimeJob, circuit: Circuit, model) -> dict:
-    if job.transform is not None:
-        return _dispatch_transform(job, circuit, model)
-    if job.flow == "mcretime":
-        eco_info = None
-        # the warm (ECO) path reuses a prior solve and never rebuilds
-        # the certificate inputs, so explain requests take the cold path
-        state = None if job.explain else _eco_state(job, model)
-        if state is not None:
-            from ..eco import eco_retime
-
-            eco = eco_retime(
-                state,
-                circuit,
-                target_period=job.target_period,
-                objective=job.objective,
-            )
-            result = eco.result
-            eco_info = {
-                "plan": eco.plan,
-                "dirty_fraction": eco.dirty_fraction,
-                "fallback_reason": eco.fallback_reason,
-                "patched_entries": eco.patched_entries,
-            }
-        else:
-            result = mc_retime(
-                circuit,
-                delay_model=model,
-                target_period=job.target_period,
-                objective=job.objective,
-                semantic_classes=job.semantic_classes,
-                explain=job.explain,
-            )
-        out_circuit = result.circuit
-        check_circuit(out_circuit)
-        timings = dict(result.timings)
-        timings["total"] = sum(timings.values())
-        metrics = {
-            "baseline": _measure(circuit, model),
-            "final": {**_measure(out_circuit, model), "accepted": True},
-            "retime": _retime_metrics(result),
-            "timings": timings,
-        }
-        if eco_info is not None:
-            metrics["eco"] = eco_info
-        if result.explanation is not None:
-            metrics["explain"] = _explain_metrics(result.explanation)
-    elif job.flow == "baseline":
-        flow = baseline_flow(circuit, model)
-        out_circuit = flow.circuit
-        metrics = _flow_metrics(flow)
-        metrics["baseline"] = metrics["final"]
-    elif job.flow == "retime":
-        base = baseline_flow(circuit, model)
-        flow = retime_flow(
-            circuit,
-            model,
-            objective=job.objective,
-            mapped=base,
-            target_period=job.target_period,
-            semantic_classes=job.semantic_classes,
-            explain=job.explain,
-        )
-        out_circuit = flow.circuit
-        metrics = _flow_metrics(flow)
-        metrics["baseline"] = {
-            "n_ff": base.n_ff,
-            "n_lut": base.n_lut,
-            "delay": base.delay,
-            "has_async": base.has_async,
-            "has_enable": base.has_enable,
-        }
-    else:  # decomposed_enable
-        flow = decomposed_enable_flow(
-            circuit,
-            model,
-            objective=job.objective,
-            target_period=job.target_period,
-            semantic_classes=job.semantic_classes,
-            explain=job.explain,
-        )
-        out_circuit = flow.circuit
-        metrics = _flow_metrics(flow)
-
-    metrics["_circuit"] = out_circuit
-    return metrics

@@ -9,14 +9,17 @@ Book, mirrored by the paper's experimental setup):
   decomposed into logic before mapping (exactly what the paper does);
 * delays come from :class:`repro.timing.delay_models.XC4000EDelayModel`.
 
-:func:`prepare` performs the architecture legalisation;
-:func:`check_mapped` verifies a netlist is implementable.
+:meth:`~XC4000E.prepare` performs the architecture legalisation,
+:meth:`~XC4000E.bind_async_resets` gives every async set/reset a
+definite value, and :meth:`~XC4000E.check_mapped` verifies a netlist is
+implementable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..logic.ternary import T0, TX
 from ..netlist import Circuit, GateFn
 from ..timing.delay_models import XC4000E_DELAY, XC4000EDelayModel
 from .decompose import decompose_sync_resets
@@ -37,8 +40,22 @@ class XC4000E:
     delay_model: XC4000EDelayModel = XC4000E_DELAY
 
     def prepare(self, circuit: Circuit) -> int:
-        """Legalise registers in place (decompose SS/SC); returns #hit."""
+        """Legalise registers in place (decompose SS/SC, bind don't-care
+        async reset values); returns the number of SS/SC decomposed."""
+        self.bind_async_resets(circuit)
         return decompose_sync_resets(circuit)
+
+    def bind_async_resets(self, circuit: Circuit) -> None:
+        """Bind every don't-care (``-``) async reset value to 0 in place.
+
+        An on-chip flip-flop's set/reset loads a definite value, and 0
+        refines ``-``.  Relocation can leave ``-`` on retimed registers;
+        left alone, ternary simulation loses that X differently through
+        a remapped LUT structure.
+        """
+        for reg in circuit.registers.values():
+            if reg.aval == TX and reg.has_async_reset:
+                reg.aval = T0
 
     def check_mapped(self, circuit: Circuit) -> None:
         """Raise :class:`ArchitectureError` on unimplementable cells."""
@@ -66,6 +83,11 @@ class XC4000E:
             if reg.has_async_reset and not self.ff_has_async:
                 raise ArchitectureError(
                     f"register {reg.name!r} uses an async set/clear"
+                )
+            if reg.has_async_reset and reg.aval == TX:
+                raise ArchitectureError(
+                    f"register {reg.name!r} has a don't-care async reset "
+                    "value (run bind_async_resets)"
                 )
 
 

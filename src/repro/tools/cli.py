@@ -86,8 +86,7 @@ import time
 from pathlib import Path
 
 from .. import obs
-from ..flows import baseline_flow, cslow_flow, pipeline_flow, retime_flow
-from ..mcretime import mc_retime
+from ..flows import run_flow
 from ..netlist import (
     Circuit,
     NetlistError,
@@ -100,15 +99,10 @@ from ..netlist import (
     write_blif,
     write_verilog,
 )
-from ..pipeline import PipelineError, cslow_retime, pipeline_retime
+from ..pipeline import PipelineError
 from ..retime.constraints import InfeasibleConstraints, InfeasibleError
 from ..timing import UNIT_DELAY, XC4000E_DELAY, analyze
-from ..verify import (
-    VerificationError,
-    check_cslow,
-    check_pipeline,
-    check_sequential,
-)
+from ..verify import VerificationError
 
 #: netlist suffixes ``mcretime batch`` picks up when given a directory
 BATCH_SUFFIXES = (".blif", ".mcblif", ".v", ".sv")
@@ -241,6 +235,18 @@ def _stats_line(circuit: Circuit, delay_model) -> str:
     )
 
 
+#: the ``verified:`` label of a mapped flow's first leg
+_MAPPING_LEG = "mapping leg (input -> mapped): "
+
+
+def _verdict(leg: str, check) -> str:
+    """The ``verified:`` line of one checked flow leg."""
+    return (
+        f"verified: {leg}{check.cycles} cycles x {check.lanes} lanes, "
+        "refinement holds"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``mcretime`` console script."""
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -325,9 +331,6 @@ def _retime_main(argv: list[str]) -> int:
     if args.check:
         return 0
 
-    accepted = True
-    #: (leg label, check result) per transform leg --verify checked
-    verify_legs = []
     try:
         with _observed(args, circuit, "retime", {
             "input": str(args.input),
@@ -336,63 +339,32 @@ def _retime_main(argv: list[str]) -> int:
             "delay_model": model_name,
             "target_period": args.target_period,
         }):
-            if args.map:
-                # the paper's Table-2 script: optimise + map, retime on
-                # the mapped netlist, remap, and keep the better netlist
-                # under STA; --verify gates both transform legs
-                flow = baseline_flow(
-                    circuit, model,
-                    verify=args.verify, verify_cycles=args.verify_cycles,
-                )
-                print(f"mapped: {flow.n_lut} LUTs, delay {flow.delay:.2f}")
-                final = retime_flow(
-                    circuit,
-                    model,
-                    objective=args.objective,
-                    mapped=flow,
-                    target_period=args.target_period,
-                    semantic_classes=not args.syntactic_classes,
-                    verify=args.verify,
-                    verify_cycles=args.verify_cycles,
-                )
-                result = final.retime
-                retimed = final.circuit
-                accepted = final.accepted
-                if args.verify:
-                    # one verdict per leg: a leg that skipped its check
-                    # must not borrow the other leg's
-                    verify_legs = [
-                        ("mapping leg (input -> mapped): ", flow.verify),
-                        ("retiming leg (mapped -> final): ", final.verify),
-                    ]
-            else:
-                result = mc_retime(
-                    circuit,
-                    delay_model=model,
-                    target_period=args.target_period,
-                    objective=args.objective,
-                    semantic_classes=not args.syntactic_classes,
-                )
-                retimed = result.circuit
-                if args.verify:
-                    check = check_sequential(
-                        circuit, retimed, cycles=args.verify_cycles
-                    )
-                    if not check.equivalent:
-                        raise VerificationError(check)
-                    verify_legs = [("", check)]
+            # --map: the paper's Table-2 script (optimise + map, retime
+            # on the mapped netlist, remap, keep the better netlist under
+            # STA); --verify checks every leg the flow ran
+            flow = run_flow(
+                circuit,
+                "retime" if args.map else "mcretime",
+                objective=args.objective,
+                delay_model=model,
+                target_period=args.target_period,
+                semantic_classes=not args.syntactic_classes,
+                verify=args.verify,
+                verify_cycles=args.verify_cycles,
+            )
+            result, retimed = flow.retime, flow.circuit
+            accepted = flow.accepted
             check_circuit(retimed)
             if obs.enabled():
-                stats = circuit_stats(retimed)
                 obs.annotate(
                     period_before=result.period_before,
                     period_after=result.period_after,
                     ff_before=result.ff_before,
                     ff_after=result.ff_after,
                     n_classes=result.n_classes,
-                    n_lut=stats.n_lut,
+                    n_lut=flow.n_lut,
                     n_gates=len(retimed.gates),
-                    delay=analyze(retimed, model).max_delay,
+                    delay=flow.delay,
                     accepted=accepted,
                 )
     except InfeasibleError as exc:
@@ -405,15 +377,14 @@ def _retime_main(argv: list[str]) -> int:
         return _fail(detail + " (run `mcretime explain --why-infeasible`)")
     except VerificationError as exc:
         return _fail(str(exc))
+    if args.map:
+        print(f"mapped: {flow.base.n_lut} LUTs, delay {flow.base.delay:.2f}")
     print(f"retimed: {_stats_line(retimed, model)}")
-    for leg, check in verify_legs:
-        if check is None:
-            print(f"verified: {leg}NOT CHECKED")
-        else:
-            print(
-                f"verified: {leg}{check.cycles} cycles x "
-                f"{check.lanes} lanes, refinement holds"
-            )
+    if args.verify and args.map:
+        print(_verdict(_MAPPING_LEG, flow.base.verify))
+        print(_verdict("retiming leg (mapped -> final): ", flow.verify))
+    elif args.verify:
+        print(_verdict("", flow.verify))
     if not accepted:
         print(
             "  (retiming rejected: STA delay regressed on the retimed "
@@ -673,26 +644,15 @@ def _explain_main(argv: list[str]) -> int:
         sections.update(("why-stuck", "lags"))
 
     try:
-        if args.map:
-            flow = retime_flow(
-                circuit,
-                model,
-                objective=args.objective,
-                target_period=args.target_period,
-                semantic_classes=not args.syntactic_classes,
-                explain=True,
-            )
-            explanation = flow.explain
-        else:
-            result = mc_retime(
-                circuit,
-                delay_model=model,
-                target_period=args.target_period,
-                objective=args.objective,
-                semantic_classes=not args.syntactic_classes,
-                explain=True,
-            )
-            explanation = result.explanation
+        explanation = run_flow(
+            circuit,
+            "retime" if args.map else "mcretime",
+            objective=args.objective,
+            delay_model=model,
+            target_period=args.target_period,
+            semantic_classes=not args.syntactic_classes,
+            explain=True,
+        ).explain
     except InfeasibleConstraints as exc:
         payload = obs_explain.infeasible_payload(exc)
         text = (
@@ -819,7 +779,6 @@ def _transform_main(kind: str, argv: list[str]) -> int:
     print(f"{args.input}: {_stats_line(circuit, model)}")
     print(f"  classes: {format_class_histogram(class_histogram(circuit))}")
 
-    verify_check = None
     try:
         with _observed(args, circuit, kind, {
             "input": str(args.input),
@@ -830,45 +789,19 @@ def _transform_main(kind: str, argv: list[str]) -> int:
             "delay_model": model_name,
             "target_period": args.target_period,
         }):
-            if args.map:
-                flow_fn = pipeline_flow if is_pipe else cslow_flow
-                flow = flow_fn(
-                    circuit,
-                    amount,
-                    model,
-                    objective=args.objective,
-                    target_period=args.target_period,
-                    semantic_classes=not args.syntactic_classes,
-                    verify=args.verify,
-                    verify_cycles=args.verify_cycles,
-                )
-                out, retime = flow.circuit, flow.retime
-                report = flow.transform
-                verify_check = flow.verify
-            else:
-                retime_fn = pipeline_retime if is_pipe else cslow_retime
-                res = retime_fn(
-                    circuit,
-                    amount,
-                    model,
-                    objective=args.objective,
-                    target_period=args.target_period,
-                    semantic_classes=not args.syntactic_classes,
-                )
-                out, retime = res.circuit, res.retime
-                report = res.report()
-            if args.verify and not args.map:
-                if is_pipe:
-                    verify_check = check_pipeline(
-                        circuit, out, shift=amount,
-                        cycles=args.verify_cycles,
-                    )
-                else:
-                    verify_check = check_cslow(
-                        circuit, out, amount, cycles=args.verify_cycles
-                    )
-                if not verify_check.equivalent:
-                    raise VerificationError(verify_check)
+            flow = run_flow(
+                circuit,
+                "retime" if args.map else "mcretime",
+                objective=args.objective,
+                delay_model=model,
+                target_period=args.target_period,
+                semantic_classes=not args.syntactic_classes,
+                verify=args.verify,
+                verify_cycles=args.verify_cycles,
+                transform=kind,
+                **({"stages": amount} if is_pipe else {"factor": amount}),
+            )
+            out, retime, report = flow.circuit, flow.retime, flow.transform
             check_circuit(out)
             if obs.enabled():
                 numeric = {
@@ -923,8 +856,10 @@ def _transform_main(kind: str, argv: list[str]) -> int:
         f"  classes: {format_class_histogram(report['classes_before'])} "
         f"-> {format_class_histogram(report['classes_after'])}"
     )
-    if verify_check is not None:
-        print(f"verified: {verify_check.reason}")
+    if args.verify:
+        if args.map:
+            print(_verdict(_MAPPING_LEG, flow.base.verify))
+        print(f"verified: {flow.verify.reason}")
 
     if args.report:
         print(f"  classes          : {retime.n_classes}")

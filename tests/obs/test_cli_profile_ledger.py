@@ -57,6 +57,24 @@ class TestLedgerFlag:
         (record,) = obs.RunLedger(ledger).load()
         assert record["kind"] == "cli.retime"
 
+    def test_failed_run_leaves_a_failed_record(self, tmp_path, capsys):
+        # an infeasible target period fails the run after the engine ran
+        ledger = tmp_path / "runs.jsonl"
+        argv = [
+            str(DATA / "c3_small.blif"), "--objective", "minperiod",
+            "--target-period", "0.5", "--ledger", str(ledger),
+        ]
+        assert cli_main(argv) == 1
+        (record,) = obs.RunLedger(ledger).load()
+        assert record["kind"] == "cli.retime"
+        assert record["status"] == "failed"
+        assert record["spans"], "the engine ran before the run failed"
+        # `obs check` compares finished runs only
+        assert cli_main(["obs", "check", "--baseline", str(ledger)]) == 1
+        assert "no comparable records" in capsys.readouterr().err
+        _retime(tmp_path, "--ledger", str(ledger))
+        assert obs.RunLedger(ledger).load()[-1]["status"] == "done"
+
     def test_two_runs_same_fingerprint(self, tmp_path):
         ledger = tmp_path / "runs.jsonl"
         _retime(tmp_path, "--ledger", str(ledger))

@@ -5,24 +5,37 @@ the replicas instead of folded into the D path)."""
 
 import pytest
 
+from repro.flows import run_flow
 from repro.netlist import Circuit
-from repro.pipeline import cslow_retime, cslow_transform, pipeline_retime
+from repro.pipeline import cslow_transform
 from repro.synth import build_datapath, build_design
 from repro.verify import check_cslow, check_pipeline
+
+
+def pipelined(circuit, stages):
+    return run_flow(
+        circuit, transform="pipeline", stages=stages, objective="minperiod"
+    )
+
+
+def cslowed(circuit, factor):
+    return run_flow(
+        circuit, transform="cslow", factor=factor, objective="minperiod"
+    )
 
 
 class TestCheckPipeline:
     @pytest.mark.parametrize("name", ["C2", "C5"])
     def test_designs_pass(self, name):
         c = build_design(name, scale=0.4).circuit
-        result = pipeline_retime(c, 2)
+        result = pipelined(c, 2)
         check = check_pipeline(c, result.circuit, shift=2, cycles=32)
         assert check.equivalent, check.reason
         assert check.shift == 2
 
     def test_wrong_shift_fails(self):
         c = build_datapath("NTT4").circuit
-        result = pipeline_retime(c, 2)
+        result = pipelined(c, 2)
         check = check_pipeline(c, result.circuit, shift=1, cycles=32)
         assert not check.equivalent
 
@@ -31,13 +44,13 @@ class TestCheckCSlow:
     @pytest.mark.parametrize("name", ["C2", "C5"])
     def test_designs_pass(self, name):
         c = build_design(name, scale=0.4).circuit
-        result = cslow_retime(c, 3)
+        result = cslowed(c, 3)
         check = check_cslow(c, result.circuit, 3, cycles=24)
         assert check.equivalent, check.reason
 
     def test_datapath_passes_through_retime(self):
         c = build_datapath("MAC6").circuit
-        result = cslow_retime(c, 2)
+        result = cslowed(c, 2)
         check = check_cslow(c, result.circuit, 2, cycles=24)
         assert check.equivalent, check.reason
 

@@ -359,6 +359,21 @@ class TestServedRunCommands:
         assert end["span_counts"] == counts
         assert end["counters"] == counters
 
+    def test_stitched_chrome_keeps_requests_apart(self, served, tmp_path):
+        # the two requests overlap in time (and so do a request's admit
+        # and queue spans): the Chrome file must read back to the span
+        # tree of the stitched JSONL record it encodes
+        stitched = stitch.stitch_dir(served / "traces")
+        merged = tmp_path / "m.json"
+        stitch.write_chrome(stitched, merged)
+        chrome = obs.aggregate(obs.load_events(merged))
+        jsonl = obs.aggregate([e for run in stitched.values() for e in run])
+        assert chrome["span_counts"] == jsonl["span_counts"]
+        assert chrome["self_times"] == pytest.approx(
+            jsonl["self_times"], abs=1e-6
+        )
+        assert cli_main(["report", str(merged)]) == 0
+
     def test_slo_check_gates_the_ledger(self, served, capsys):
         check = [
             "slo", "check",

@@ -280,6 +280,20 @@ class TestArchitecture:
         with pytest.raises(ArchitectureError):
             XC4000E_ARCH.check_mapped(c)
 
+    def test_check_rejects_dont_care_async_reset_value(self):
+        # an on-chip set/reset loads a definite value, never "-"
+        c = Circuit()
+        for n in ("clk", "rst", "d"):
+            c.add_input(n)
+        c.add_register(d="d", q="q", clk="clk", ar="rst", aval=TX)
+        c.add_output("q")
+        with pytest.raises(ArchitectureError, match="don't-care"):
+            XC4000E_ARCH.check_mapped(c)
+        XC4000E_ARCH.bind_async_resets(c)
+        (reg,) = c.registers.values()
+        assert reg.aval == T0
+        XC4000E_ARCH.check_mapped(c)
+
 
 class TestAreaMode:
     @pytest.mark.parametrize("seed", range(4))

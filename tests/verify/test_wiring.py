@@ -89,12 +89,12 @@ def test_execute_job_records_verify_metrics():
 
 
 def test_execute_job_fails_on_verification_mismatch(monkeypatch):
-    from repro.service import jobs
+    from repro.flows import script
 
     def fake_check(original, transformed, cycles=64):
         return SequentialCheckResult(False, "injected mismatch")
 
-    monkeypatch.setattr(jobs, "check_sequential", fake_check)
+    monkeypatch.setattr(script, "check_sequential", fake_check)
     with pytest.raises(VerificationError, match="injected mismatch"):
         execute_job(_job(verify=True))
 
@@ -128,12 +128,13 @@ def test_cli_map_verify_on_table2_row(capsys):
 
 
 def test_cli_verify_failure_exits_nonzero(tmp_path, capsys, monkeypatch):
+    from repro.flows import script
     from repro.netlist import write_blif
 
     def fake_check(original, transformed, cycles=64):
         return SequentialCheckResult(False, "injected mismatch")
 
-    monkeypatch.setattr(cli, "check_sequential", fake_check)
+    monkeypatch.setattr(script, "check_sequential", fake_check)
     path = tmp_path / "design.blif"
     path.write_text(write_blif(DESIGN))
     rc = cli.main([str(path), "--verify"])
